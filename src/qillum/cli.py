@@ -36,6 +36,7 @@ from .fockspace import (
     thermal_state,
 )
 from .receivers import (
+    half_erfc_sqrt,
     helstrom_single_shot,
     homodyne_error,
     majority_vote_error,
@@ -142,6 +143,14 @@ def _log10_or_inf(p: float) -> float:
     return math.log10(p) if p > 0.0 else float("-inf")
 
 
+def _opa_exact(params: ScenarioParams, gain: float, k: int, receiver: ReceiverConfig) -> float:
+    """Exact OPA error at K=k under the receiver's count model and policy."""
+    if receiver.count_model is CountModel.ON_OFF:
+        return opa_error_onoff(params, gain, k, receiver.threshold_policy)
+    pe, _ = opa_error_exact(params, gain, k, receiver.threshold_policy)
+    return pe
+
+
 # --- configuration ------------------------------------------------------------
 
 
@@ -236,7 +245,7 @@ def cmd_bounds(args, params: ScenarioParams, receiver: ReceiverConfig) -> None:
     digest = _digest(params, receiver, extra)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    notes: List[str] = []
+    notes = [f"count_model: {receiver.count_model.value}"]
 
     columns = ["K", "lower_classical", "upper_classical", "lower_quantum",
                "upper_quantum", "homodyne", "opa_exact", "opa_gaussian"]
@@ -252,20 +261,21 @@ def cmd_bounds(args, params: ScenarioParams, receiver: ReceiverConfig) -> None:
         gain, gain_note = resolve_gain(params, receiver.gain)
         notes.append(f"gain: {gain_note}")
         notes.append(f"trunc: n_r_max={trunc.n_r_max} n_i_max={trunc.n_i_max}")
+        _, r_opa = opa_error_gaussian(params, gain, 1)
         series: Dict[str, List[Tuple[int, float]]] = {name: [] for name in columns[1:]}
         for k in ks:
             b_c = error_prob_bounds(q_half_c, q_qcb_c, k)
             b_q = error_prob_bounds(q_half_q, q_qcb_q, k)
             _, log10_hom = homodyne_error(params, k)
-            pe_exact, _ = opa_error_exact(params, gain, k, receiver.threshold_policy)
-            pe_gauss, _ = opa_error_gaussian(params, gain, k)
+            # the log leg stays finite where the probability underflows
+            _, log10_gauss = half_erfc_sqrt(r_opa * k)
             series["lower_classical"].append((k, b_c.log10_lower))
             series["upper_classical"].append((k, b_c.log10_upper_qcb))
             series["lower_quantum"].append((k, b_q.log10_lower))
             series["upper_quantum"].append((k, b_q.log10_upper_qcb))
             series["homodyne"].append((k, log10_hom))
-            series["opa_exact"].append((k, _log10_or_inf(pe_exact)))
-            series["opa_gaussian"].append((k, _log10_or_inf(pe_gauss)))
+            series["opa_exact"].append((k, _log10_or_inf(_opa_exact(params, gain, k, receiver))))
+            series["opa_gaussian"].append((k, log10_gauss))
         curves = {name: ErrorCurve(name, tuple(pts), digest) for name, pts in series.items()}
         rows = [[k] + [curves[name].points[i][1] for name in columns[1:]]
                 for i, k in enumerate(ks)]
@@ -285,7 +295,7 @@ def cmd_helstrom(args, params: ScenarioParams, receiver: ReceiverConfig) -> None
     digest = _digest(params, receiver, extra)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    notes: List[str] = []
+    notes = [f"count_model: {receiver.count_model.value}"]
 
     columns = ["K", "opa_exact", "helstrom_majority_exact", "helstrom_majority_clt"]
     if params.kappa == 0.0:
@@ -304,7 +314,7 @@ def cmd_helstrom(args, params: ScenarioParams, receiver: ReceiverConfig) -> None
                      f"p01={result.p01!r} p10={result.p10!r}")
         series: Dict[str, List[Tuple[int, float]]] = {name: [] for name in columns[1:]}
         for k in ks:
-            pe_opa, _ = opa_error_exact(params, gain, k, receiver.threshold_policy)
+            pe_opa = _opa_exact(params, gain, k, receiver)
             pe_maj = majority_vote_error(p_flip, p_flip, k, method="exact_binomial")
             pe_clt = majority_vote_error(p_flip, p_flip, k, method="clt")
             series["opa_exact"].append((k, _log10_or_inf(pe_opa)))

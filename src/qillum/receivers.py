@@ -9,16 +9,20 @@ hypothesis, with mean photon number
          + 2 sqrt(G(G-1)) sqrt(kappa n_s (n_s+1))
 
 so deciding between hypotheses reduces to thresholding a total photon
-count whose law over K mode pairs is negative binomial.  Tail
-probabilities go through the regularized incomplete beta function, which
-keeps far tails accurate in a relative sense; Gaussian approximations and
-log-domain variants are provided for cross-checks and large K.
+count whose law over K mode pairs is negative binomial (binomial for a
+click detector).  The count likelihood ratio grows with the count, so the
+error-minimizing threshold is the first count at which it reaches one, a
+closed form evaluated once per K.  Tail probabilities go through the
+regularized incomplete beta function, which keeps far tails accurate in a
+relative sense; Gaussian approximations and log-domain variants are
+provided for cross-checks and large K.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Context, Decimal
 from typing import Optional, Tuple
 
 import numpy as np
@@ -48,7 +52,7 @@ __all__ = [
 ]
 
 _LN10 = math.log(10.0)
-_SCAN_SIGMAS = 12.0   # threshold scan window half-width in standard deviations
+_LR_CONTEXT = Context(prec=50)  # decimal arithmetic for likelihood-ratio thresholds
 _GAIN_MIN_EXCESS = 1e-9
 _GAIN_MAX = 1.5
 _GAIN_REL_TOL = 1e-4
@@ -190,32 +194,26 @@ def opa_count_pmf(n_mean: float, K: int, n) -> np.ndarray:
     return out
 
 
-def _nb_tail_upper(t, K: int, n_mean: float):
+def _nb_tail_upper(t: int, K: int, n_mean: float) -> float:
     """P(X >= t) for the K-mode total count at thermal mean n_mean.
 
     Via P(X >= t) = I_{N/(1+N)}(t, K); betainc evaluates the incomplete
     beta directly on the tail, so tiny values keep relative accuracy.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.ones_like(t_arr)
-    pos = t_arr >= 1.0
+    if t < 1:
+        return 1.0
     if n_mean == 0.0:
-        out[pos] = 0.0
-    elif np.any(pos):
-        out[pos] = betainc(t_arr[pos], float(K), n_mean / (1.0 + n_mean))
-    return out
+        return 0.0
+    return float(betainc(float(t), float(K), n_mean / (1.0 + n_mean)))
 
 
-def _nb_tail_lower(t, K: int, n_mean: float):
+def _nb_tail_lower(t: int, K: int, n_mean: float) -> float:
     """P(X < t) = P(X <= t-1) = I_{1/(1+N)}(K, t)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(t_arr)
-    pos = t_arr >= 1.0
+    if t < 1:
+        return 0.0
     if n_mean == 0.0:
-        out[pos] = 1.0
-    elif np.any(pos):
-        out[pos] = betainc(float(K), t_arr[pos], 1.0 / (1.0 + n_mean))
-    return out
+        return 1.0
+    return float(betainc(float(K), float(t), 1.0 / (1.0 + n_mean)))
 
 
 def _crossing_threshold(stats: OpaStatistics, K: int) -> int:
@@ -228,23 +226,40 @@ def _crossing_threshold(stats: OpaStatistics, K: int) -> int:
     return int(math.ceil(crossing))
 
 
-def _scan_window(stats: OpaStatistics, K: int) -> np.ndarray:
-    """Integer thresholds within _SCAN_SIGMAS pooled deviations of the means;
-    error contributions from thresholds outside are negligible."""
-    sk = math.sqrt(K)
-    lo = max(0, math.floor(K * stats.n0 - _SCAN_SIGMAS * stats.sigma0 * sk))
-    hi = math.ceil(K * stats.n1 + _SCAN_SIGMAS * stats.sigma1 * sk)
-    return np.arange(lo, hi + 1, dtype=np.int64)
+def _lr_threshold(n0: float, n1: float, K: int, clicks: bool) -> int:
+    """First count at which target-present is at least as likely as absent.
+
+    Over K modes the count likelihood ratio is r^n ((1+N0)/(1+N1))^K, with
+    r = N1(1+N0) / (N0(1+N1)) for photon counts and r = N1/N0 for click
+    counts (q/(1-q) = N).  It grows with n, so the smallest integer t with
+
+        t ln r >= K ln((1+N1)/(1+N0))
+
+    is the Bayes threshold at equal priors; on a tie the lower threshold
+    wins.  The logs are taken in 50-digit decimal arithmetic on the exact
+    binary inputs, so a ratio that lands within float rounding of an
+    integer still rounds up the right way.  For clicks ln r exceeds the
+    right-hand log, so t <= K.
+    """
+    c = _LR_CONTEXT
+    d0, d1 = Decimal(n0), Decimal(n1)
+    e0, e1 = c.add(d0, 1), c.add(d1, 1)
+    if clicks:
+        r = c.divide(d1, d0)
+    else:
+        r = c.divide(c.multiply(d1, e0), c.multiply(d0, e1))
+    ratio = c.divide(c.multiply(int(K), c.ln(c.divide(e1, e0))), c.ln(r))
+    return int(ratio.to_integral_value(rounding=ROUND_CEILING))
 
 
 def opa_error_exact(params, G: float, K: int, policy) -> Tuple[float, DecisionRule]:
     """Exact threshold-test error of the OPA receiver over K mode pairs.
 
     policy 'paper_formula' uses the Gaussian crossing threshold;
-    'optimal_scan' minimizes over a window of integer thresholds (first
-    minimizer wins, deterministically).  kappa = 0 makes both count laws
-    identical; that case returns 1/2 with a degenerate rule instead of
-    pretending to decide.
+    'optimal_scan' uses the exact likelihood-ratio threshold, which
+    minimizes the error over all integer thresholds (the lowest minimizer
+    on a tie).  kappa = 0 makes both count laws identical; that case
+    returns 1/2 with a degenerate rule instead of pretending to decide.
     """
     from .scenario import ThresholdPolicy
 
@@ -257,17 +272,10 @@ def opa_error_exact(params, G: float, K: int, policy) -> Tuple[float, DecisionRu
 
     if policy is ThresholdPolicy.PAPER_FORMULA:
         t = _crossing_threshold(stats, K)
-        pe = 0.5 * float(
-            _nb_tail_upper(t, K, stats.n0)[0] + _nb_tail_lower(t, K, stats.n1)[0]
-        )
-        return pe, DecisionRule(threshold=t)
-
-    ts = _scan_window(stats, K)
-    pe_all = 0.5 * (
-        _nb_tail_upper(ts, K, stats.n0) + _nb_tail_lower(ts, K, stats.n1)
-    )
-    i = int(np.argmin(pe_all))
-    return float(pe_all[i]), DecisionRule(threshold=int(ts[i]))
+    else:
+        t = _lr_threshold(stats.n0, stats.n1, K, clicks=False)
+    pe = 0.5 * (_nb_tail_upper(t, K, stats.n0) + _nb_tail_lower(t, K, stats.n1))
+    return pe, DecisionRule(threshold=t)
 
 
 def opa_error_gaussian(params, G: float, K: int) -> Tuple[float, float]:
@@ -335,48 +343,33 @@ def opa_bhattacharyya(params, G: float) -> Tuple[float, float, float]:
     return q_b, r_b_exact, r_b_small
 
 
-def _onoff_window(q0: float, q1: float, K: int) -> np.ndarray:
-    s0 = math.sqrt(q0 * (1.0 - q0))
-    s1 = math.sqrt(q1 * (1.0 - q1))
-    sk = math.sqrt(K)
-    lo = max(0, math.floor(K * q0 - _SCAN_SIGMAS * s0 * sk))
-    hi = min(K + 1, math.ceil(K * q1 + _SCAN_SIGMAS * s1 * sk) + 1)
-    return np.arange(lo, hi + 1, dtype=np.int64)
-
-
-def _binom_tail_upper(t, K: int, q: float):
+def _binom_tail_upper(t: int, K: int, q: float) -> float:
     """P(clicks >= t) for clicks ~ Binomial(K, q)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.ones_like(t_arr)
-    over = t_arr > K
-    mid = (t_arr >= 1.0) & ~over
-    out[over] = 0.0
-    if q == 0.0:
-        out[mid] = 0.0
-    elif np.any(mid):
-        out[mid] = betainc(t_arr[mid], K - t_arr[mid] + 1.0, q)
-    return out
+    if t < 1:
+        return 1.0
+    if t > K or q == 0.0:
+        return 0.0
+    return float(betainc(float(t), K - t + 1.0, q))
 
 
-def _binom_tail_lower(t, K: int, q: float):
+def _binom_tail_lower(t: int, K: int, q: float) -> float:
     """P(clicks < t) = P(clicks <= t-1) for clicks ~ Binomial(K, q)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(t_arr)
-    over = t_arr > K
-    mid = (t_arr >= 1.0) & ~over
-    out[over] = 1.0
+    if t < 1:
+        return 0.0
+    if t > K:
+        return 1.0
     if q == 1.0:
-        out[mid] = 0.0
-    elif np.any(mid):
-        out[mid] = betainc(K - t_arr[mid] + 1.0, t_arr[mid], 1.0 - q)
-    return out
+        return 0.0
+    return float(betainc(K - t + 1.0, float(t), 1.0 - q))
 
 
 def opa_error_onoff(params, G: float, K: int, policy) -> float:
     """OPA receiver error with a click / no-click detector per mode.
 
     Each output mode clicks with probability q_m = N_m / (1 + N_m), the
-    total click count is Binomial(K, q_m), and the decision thresholds it.
+    total click count is Binomial(K, q_m), and the decision thresholds it:
+    at the Gaussian crossing point for 'paper_formula', at the exact
+    likelihood-ratio threshold for 'optimal_scan'.
     """
     from .scenario import ThresholdPolicy
 
@@ -393,13 +386,9 @@ def opa_error_onoff(params, G: float, K: int, policy) -> float:
         s0 = math.sqrt(q0 * (1.0 - q0))
         s1 = math.sqrt(q1 * (1.0 - q1))
         t = int(math.ceil(K * (s1 * q0 + s0 * q1) / (s0 + s1)))
-        return 0.5 * float(
-            _binom_tail_upper(t, K, q0)[0] + _binom_tail_lower(t, K, q1)[0]
-        )
-
-    ts = _onoff_window(q0, q1, K)
-    pe_all = 0.5 * (_binom_tail_upper(ts, K, q0) + _binom_tail_lower(ts, K, q1))
-    return float(pe_all.min())
+    else:
+        t = _lr_threshold(stats.n0, stats.n1, K, clicks=True)
+    return 0.5 * (_binom_tail_upper(t, K, q0) + _binom_tail_lower(t, K, q1))
 
 
 # --- optimal joint measurement ----------------------------------------------
@@ -488,9 +477,7 @@ def majority_vote_error(p01: float, p10: float, K: int, method: str = "exact_bin
     t = K // 2 + 1  # smallest winning vote count for target-present
 
     if method == "exact_binomial":
-        err0 = float(_binom_tail_upper(t, K, p01)[0])
-        err1 = float(_binom_tail_lower(t, K, 1.0 - p10)[0])
-        return 0.5 * (err0 + err1)
+        return 0.5 * (_binom_tail_upper(t, K, p01) + _binom_tail_lower(t, K, 1.0 - p10))
     if method == "clt":
         if p01 == 0.0:
             err0 = 0.0

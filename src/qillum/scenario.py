@@ -32,7 +32,7 @@ class ThresholdPolicy(Enum):
     """How the count threshold of the OPA receiver is chosen."""
 
     PAPER_FORMULA = "paper_formula"   # Gaussian crossing point of the two count laws
-    OPTIMAL_SCAN = "optimal_scan"     # scan integer thresholds for the minimum error
+    OPTIMAL_SCAN = "optimal_scan"     # exact likelihood-ratio threshold: minimum error
 
 
 class CountModel(Enum):

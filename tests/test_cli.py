@@ -11,10 +11,13 @@ from qillum import (
     TruncationSpec,
     build_rho0,
     build_rho1,
+    half_erfc_sqrt,
     helstrom_single_shot,
     majority_vote_error,
     opa_error_exact,
     opa_error_gaussian,
+    opa_error_onoff,
+    optimize_gain,
 )
 from qillum.cli import ErrorCurve, main
 
@@ -146,6 +149,70 @@ class TestHelstromCommand:
         _, _, rows = read_csv(out / "helstrom.csv")
         want = repr(math.log10(0.5))
         assert all(row[1:] == [want] * 3 for row in rows)
+
+
+class TestCountModel:
+    """count_model picks the law behind the opa_exact column of bounds and
+    helstrom; full counting keeps the bytes it always had."""
+
+    GRID = ["--k-min", "10", "--k-max", "1000", "--k-points", "5",
+            "--threshold-policy", "optimal_scan"]
+    # digests of the full_counting runs, unchanged since the knob was wired
+    DIGESTS = {"bounds": "9cd9c61e3777", "helstrom": "788d7e28ff49"}
+    OPA_COLUMN = {"bounds": 6, "helstrom": 1}
+
+    def run(self, tmp_path, command, model):
+        cfg = tmp_path / f"{model}.cfg"
+        cfg.write_text(FAST_CONFIG + f"count_model = {model}\n", encoding="ascii")
+        out = tmp_path / f"{command}-{model}"
+        assert main([command, "--config", str(cfg), "--out", str(out)] + self.GRID) == 0
+        meta = (out / "meta.txt").read_text(encoding="ascii").splitlines()
+        assert f"note=count_model: {model}" in meta
+        return read_csv(out / f"{command}.csv")
+
+    @pytest.mark.parametrize("command", ["bounds", "helstrom"])
+    def test_on_off_fills_opa_exact_from_click_counts(self, tmp_path, command):
+        params = ScenarioParams(0.01, 0.01, 1.0)
+        col = self.OPA_COLUMN[command]
+        _, _, rows = self.run(tmp_path, command, "on_off")
+        _, _, full_rows = self.run(tmp_path, command, "full_counting")
+        for row, full_row in zip(rows, full_rows):
+            pe = opa_error_onoff(params, 1.005, int(row[0]), "optimal_scan")
+            assert row[col] == repr(math.log10(pe))
+            assert row[col] != full_row[col]
+            assert row[:col] + row[col + 1:] == full_row[:col] + full_row[col + 1:]
+
+    @pytest.mark.parametrize("command", ["bounds", "helstrom"])
+    def test_full_counting_unchanged(self, tmp_path, command):
+        params = ScenarioParams(0.01, 0.01, 1.0)
+        col = self.OPA_COLUMN[command]
+        digest, _, rows = self.run(tmp_path, command, "full_counting")
+        assert digest == self.DIGESTS[command]
+        for row in rows:
+            pe, _ = opa_error_exact(params, 1.005, int(row[0]), "optimal_scan")
+            assert row[col] == repr(math.log10(pe))
+
+
+class TestOpaGaussianColumn:
+    def test_finite_in_the_deep_tail(self, tmp_path):
+        """Bright return: erfc(sqrt(R_OPA K))/2 underflows near K = 1e8,
+        but the column keeps the finite log10 leg."""
+        cfg = tmp_path / "bright.cfg"
+        cfg.write_text("n_s = 0.01\nkappa = 0.3\nn_b = 1.0\n", encoding="ascii")
+        out = tmp_path / "run"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out),
+                     "--k-min", "1e4", "--k-max", "1e8", "--k-points", "30"]) == 0
+        _, header, rows = read_csv(out / "bounds.csv")
+        col = header.index("opa_gaussian")
+        values = [float(row[col]) for row in rows]
+        assert int(rows[-1][0]) == 10**8
+        assert all(math.isfinite(v) and v <= math.log10(0.5) for v in values)
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
+        params = ScenarioParams(0.01, 0.3, 1.0)
+        pe, r_opa = opa_error_gaussian(params, optimize_gain(params).g_star, 10**8)
+        assert pe == 0.0
+        assert values[-1] == half_erfc_sqrt(r_opa * 10**8)[1]
 
 
 class TestExponentsCommand:

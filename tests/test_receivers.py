@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from qillum import (
     DomainError,
@@ -28,9 +29,59 @@ from qillum import (
     resolve_gain,
 )
 from qillum.fockspace import JointState
+from qillum.receivers import _lr_threshold
 
 REF = ScenarioParams(n_s=0.01, kappa=0.01, n_b=20.0)
 G_REF = 1.005
+BRIGHT = ScenarioParams(n_s=0.01, kappa=0.3, n_b=1.0)
+BENCH_KS = sorted({int(round(v)) for v in np.logspace(4, 8, 30)})
+
+SCAN_SIGMAS = 12.0
+
+
+def _first_minimizer(ts, upper, lower):
+    pe = 0.5 * (upper + lower)
+    i = int(np.argmin(pe))
+    return int(ts[i]), float(pe[i])
+
+
+def scan_count_threshold(stats, K):
+    """Brute-force oracle: every integer threshold within 12 pooled deviations
+    of the means, first minimizer of the negative-binomial error wins."""
+    sk = math.sqrt(K)
+    lo = max(0, math.floor(K * stats.n0 - SCAN_SIGMAS * stats.sigma0 * sk))
+    hi = math.ceil(K * stats.n1 + SCAN_SIGMAS * stats.sigma1 * sk)
+    ts = np.arange(lo, hi + 1, dtype=float)
+    upper, lower = np.ones_like(ts), np.zeros_like(ts)
+    pos = ts >= 1.0
+    upper[pos] = betainc(ts[pos], float(K), stats.n0 / (1.0 + stats.n0))
+    lower[pos] = betainc(float(K), ts[pos], 1.0 / (1.0 + stats.n1))
+    return _first_minimizer(ts, upper, lower)
+
+
+def scan_click_threshold(stats, K):
+    """The same oracle for Binomial(K, q_m) click counts, q_m = N_m/(1+N_m)."""
+    q0 = stats.n0 / (1.0 + stats.n0)
+    q1 = stats.n1 / (1.0 + stats.n1)
+    sk = math.sqrt(K)
+    lo = max(0, math.floor(K * q0 - SCAN_SIGMAS * math.sqrt(q0 * (1.0 - q0)) * sk))
+    hi = min(K + 1, math.ceil(K * q1 + SCAN_SIGMAS * math.sqrt(q1 * (1.0 - q1)) * sk) + 1)
+    ts = np.arange(lo, hi + 1, dtype=float)
+    upper, lower = np.ones_like(ts), np.zeros_like(ts)
+    upper[ts > K], lower[ts > K] = 0.0, 1.0
+    mid = (ts >= 1.0) & (ts <= K)
+    upper[mid] = betainc(ts[mid], K - ts[mid] + 1.0, q0)
+    lower[mid] = betainc(K - ts[mid] + 1.0, ts[mid], 1.0 - q1)
+    return _first_minimizer(ts, upper, lower)
+
+
+def mp_lr_ratio(n0, n1, K, clicks):
+    """K ln((1+N1)/(1+N0)) / ln r to 50 digits: t ln r >= K ln(...) iff
+    t >= this ratio."""
+    with mpmath.workdps(50):
+        m0, m1 = mpmath.mpf(n0), mpmath.mpf(n1)
+        r = m1 / m0 if clicks else m1 * (1 + m0) / (m0 * (1 + m1))
+        return K * mpmath.log((1 + m1) / (1 + m0)) / mpmath.log(r)
 
 
 class TestHalfErfcSqrt:
@@ -147,7 +198,7 @@ class TestOpaErrorExact:
         assert rule.degenerate
 
     def test_k_one_three_threshold_enumeration(self):
-        """At K=1 the scan must reproduce the best of thresholds {0, 1, 2}."""
+        """At K=1 the optimal threshold must be the best of {0, 1, 2}."""
         st = opa_output_means(REF, G_REF)
         p0 = [1.0 / (1.0 + st.n0), st.n0 / (1.0 + st.n0) ** 2]
         p1 = [1.0 / (1.0 + st.n1), st.n1 / (1.0 + st.n1) ** 2]
@@ -212,6 +263,74 @@ class TestOpaErrorExact:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             opa_error_exact(REF, G_REF, 1, "grid_search")
+
+
+class TestLikelihoodRatioThreshold:
+    """optimal_scan's closed-form threshold against the brute-force scan and
+    against its defining inequality evaluated in mpmath."""
+
+    def assert_matches_scan(self, params, G, K):
+        stats = opa_output_means(params, G)
+        t_scan, pe_scan = scan_count_threshold(stats, K)
+        pe, rule = opa_error_exact(params, G, K, "optimal_scan")
+        if pe_scan > 0.0:
+            assert rule.threshold == t_scan
+            assert pe == pe_scan
+        t_scan, pe_scan = scan_click_threshold(stats, K)
+        if pe_scan > 0.0:
+            assert _lr_threshold(stats.n0, stats.n1, K, clicks=True) == t_scan
+            assert opa_error_onoff(params, G, K, "optimal_scan") == pe_scan
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 10**3, 10**6])
+    def test_matches_scan_at_reference(self, k):
+        self.assert_matches_scan(REF, G_REF, k)
+
+    @pytest.mark.parametrize("k", BENCH_KS)
+    def test_matches_scan_on_bright_return(self, k):
+        self.assert_matches_scan(BRIGHT, optimize_gain(BRIGHT).g_star, k)
+
+    @pytest.mark.parametrize("clicks", [False, True])
+    @pytest.mark.parametrize("k", [1, 10, 10**3, 10**6, 10**8])
+    def test_smallest_integer_solving_the_inequality(self, k, clicks):
+        stats = opa_output_means(REF, G_REF)
+        t = _lr_threshold(stats.n0, stats.n1, k, clicks)
+        assert t - 1 < mp_lr_ratio(stats.n0, stats.n1, k, clicks) <= t
+
+    @pytest.mark.parametrize("clicks", [False, True])
+    def test_near_integer_ratio(self, clicks):
+        """Pick N1 so that K ln((1+N1)/(1+N0)) / ln r lands within 1e-13 of
+        an integer, on either side; a float evaluation cannot resolve that."""
+        k = 1000
+        stats = opa_output_means(REF, G_REF)
+        n0 = stats.n0
+        m = int(mpmath.nint(mp_lr_ratio(n0, stats.n1, k, clicks)))
+        with mpmath.workdps(50):
+            root = float(mpmath.findroot(
+                lambda x: mp_lr_ratio(n0, x, k, clicks) - m, mpmath.mpf(stats.n1)))
+        sides = set()
+        for n1 in (math.nextafter(root, 0.0), root, math.nextafter(root, 1.0)):
+            gap = mp_lr_ratio(n0, n1, k, clicks) - m
+            assert 0 < abs(gap) < 1e-13
+            sides.add(gap > 0)
+            assert _lr_threshold(n0, n1, k, clicks) == (m + 1 if gap > 0 else m)
+        assert sides == {False, True}
+
+    def test_numpy_integer_copies(self):
+        pe, rule = opa_error_exact(REF, G_REF, np.int64(1000), "optimal_scan")
+        assert (pe, rule) == opa_error_exact(REF, G_REF, 1000, "optimal_scan")
+        assert opa_error_onoff(REF, G_REF, np.int64(1000), "optimal_scan") == \
+            opa_error_onoff(REF, G_REF, 1000, "optimal_scan")
+
+    def test_rule_is_the_bayes_threshold_where_the_scan_underflows(self):
+        """Deep in the tail every threshold's error underflows to 0.0, so a
+        scan cannot locate the minimum; the rule still reports the Bayes
+        threshold."""
+        g = optimize_gain(BRIGHT).g_star
+        stats = opa_output_means(BRIGHT, g)
+        pe, rule = opa_error_exact(BRIGHT, g, 10**8, "optimal_scan")
+        assert pe == 0.0
+        ratio = mp_lr_ratio(stats.n0, stats.n1, 10**8, clicks=False)
+        assert rule.threshold - 1 < ratio <= rule.threshold
 
 
 class TestOpaErrorGaussian:
