@@ -24,9 +24,7 @@ from .errors import (
 from .fockspace import (
     JointState,
     MomentReport,
-    SpectralData,
     TruncationSpec,
-    block_eigendecompose,
     build_displaced_thermal,
     build_rho0,
     build_rho1,
@@ -86,14 +84,12 @@ __all__ = [
     "TruncationSpec",
     "JointState",
     "MomentReport",
-    "SpectralData",
     "thermal_cutoff",
     "idler_photon_pmf",
     "hypergeom_2f1_terminating",
     "build_rho0",
     "build_rho1",
     "moments_check",
-    "block_eigendecompose",
     "thermal_state",
     "build_displaced_thermal",
     # bounds

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -203,31 +203,18 @@ class ExponentReport:
         r_q      = kappa n_s / n_b          entangled transmitter, optimal measurement
         r_c      = kappa n_s / (4 n_b)      coherent transmitter, optimal measurement
         r_c_hom  = kappa n_s / (4 n_b + 2)  coherent transmitter, homodyne readout
-
-    s_star / q_qcb / q_half are filled when a numeric Chernoff computation
-    backs the report, otherwise None.
     """
 
     r_q: float
     r_c: float
     r_c_hom: float
     regime_ok: bool
-    s_star: Optional[float] = None
-    q_qcb: Optional[float] = None
-    q_half: Optional[float] = None
 
     def __post_init__(self):
         for name in ("r_q", "r_c", "r_c_hom"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0.0:
                 raise DomainError(f"{name} must be finite and >= 0, got {v}")
-        if self.s_star is not None and not 0.0 <= self.s_star <= 1.0:
-            raise DomainError(f"s_star must lie in [0, 1], got {self.s_star}")
-        if self.q_qcb is not None and self.q_half is not None:
-            if not self.q_qcb <= self.q_half <= 1.0 + 1e-12:
-                raise DomainError(
-                    f"need q_qcb <= q_half <= 1, got {self.q_qcb}, {self.q_half}"
-                )
 
 
 def asymptotic_exponents(params) -> ExponentReport:

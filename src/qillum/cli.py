@@ -27,14 +27,7 @@ import numpy as np
 
 from .bounds import asymptotic_exponents, error_prob_bounds, q_s, qcb
 from .errors import DomainError, ParseError, QIError
-from .fockspace import (
-    TruncationSpec,
-    build_displaced_thermal,
-    build_rho0,
-    build_rho1,
-    thermal_cutoff,
-    thermal_state,
-)
+from .fockspace import TruncationSpec, build_rho0, build_rho1
 from .receivers import (
     half_erfc_sqrt,
     helstrom_single_shot,
@@ -60,33 +53,14 @@ from .scenario import (
 
 _LOG10_HALF = math.log10(0.5)
 
-# The numeric Chernoff pass loops over every photon-number block in Python;
-# past this return-mode cutoff (n_b around 250 at tail 1e-9) it is skipped
-# in the exponents table and the closed forms stand alone.
+# The Fock Chernoff pass of the entangled pair loops over every
+# photon-number block in Python; past this return-mode cutoff (n_b around
+# 250 at tail 1e-9) the exponents table skips r_q_numeric.
 _QCB_CUTOFF_CAP = 5000
 
 _DEFAULT_PARAMS = ScenarioParams(n_s=0.01, kappa=0.01, n_b=20.0)
 
 _UNDEF = "-"  # stdout placeholder for quantities with no defined value
-
-
-@dataclasses.dataclass(frozen=True)
-class ErrorCurve:
-    """A labelled log10 error-probability curve over an integer K grid."""
-
-    label: str
-    points: Tuple[Tuple[int, float], ...]
-    params_hash: str
-
-    def __post_init__(self):
-        ks = [k for k, _ in self.points]
-        if any(b <= a for a, b in zip(ks, ks[1:])):
-            raise DomainError(f"curve {self.label!r}: K grid must be strictly increasing")
-        for k, v in self.points:
-            if v > _LOG10_HALF + 1e-12:
-                raise DomainError(
-                    f"curve {self.label!r}: log10 P_e = {v} above log10(1/2) at K={k}"
-                )
 
 
 # --- plumbing -----------------------------------------------------------------
@@ -137,6 +111,18 @@ def _k_grid(k_min: float, k_max: float, k_points: int) -> List[int]:
         return [int(round(k_min))]
     raw = np.logspace(math.log10(k_min), math.log10(k_max), k_points)
     return sorted({max(1, int(round(v))) for v in raw})
+
+
+def _check_error_curves(columns: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Guard a [K, log10 P_e, ...] table: K strictly increasing, every
+    value at or below log10(1/2)."""
+    ks = [row[0] for row in rows]
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise DomainError("K grid must be strictly increasing")
+    for row in rows:
+        for name, v in zip(columns[1:], row[1:]):
+            if v > _LOG10_HALF + 1e-12:
+                raise DomainError(f"{name}: log10 P_e = {v} above log10(1/2) at K={row[0]}")
 
 
 def _log10_or_inf(p: float) -> float:
@@ -209,27 +195,20 @@ def _sweep_points(params: ScenarioParams, axis: str, values: List[float]) -> Lis
     return [dataclasses.replace(params, **{axis: v}) for v in values]
 
 
-# --- numeric Chernoff quantities ----------------------------------------------
+# --- coherent-state benchmark -------------------------------------------------
 
 
-def _spdc_overlaps(params: ScenarioParams, tail_tol: float):
-    """(s_star, Q_qcb, Q_half, trunc) for the entangled-transmitter pair."""
-    trunc = TruncationSpec.for_params(params, tail_tol=tail_tol)
-    rho0 = build_rho0(params, trunc)
-    rho1 = build_rho1(params, trunc)
-    s_star, q_min, _ = qcb(rho0, rho1)
-    return s_star, q_min, q_s(rho0, rho1, 0.5), trunc
+def _coherent_exponent(params: ScenarioParams) -> float:
+    """Exact Chernoff exponent -ln Q_min of the coherent-state benchmark.
 
-
-def _coherent_overlaps(params: ScenarioParams, tail_tol: float):
-    """(s_star, Q_qcb, Q_half, cutoff) for thermal vs displaced thermal."""
-    cutoff = thermal_cutoff(params.kappa * params.n_s + params.n_b, tail_tol)
-    rho0 = thermal_state(params.n_b, cutoff)
-    rho1 = build_displaced_thermal(
-        math.sqrt(params.kappa * params.n_s), params.n_b, cutoff, tail_tol=tail_tol
-    )
-    s_star, q_min, _ = qcb(rho0, rho1)
-    return s_star, q_min, q_s(rho0, rho1, 0.5), cutoff
+    Thermal and displaced-thermal states differ only by a displacement, so
+    Q_s = Q_(1-s), the minimum sits at s* = 1/2 and
+    -ln Q_min = kappa n_s (sqrt(n_b+1) - sqrt(n_b))**2 (Tan et al., PRL 101,
+    253601 (2008)).  The equivalent sum form used here does not cancel at
+    large n_b.
+    """
+    root = math.sqrt(params.n_b + 1.0) + math.sqrt(params.n_b)
+    return params.kappa * params.n_s / (root * root)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -256,29 +235,26 @@ def cmd_bounds(args, params: ScenarioParams, receiver: ReceiverConfig) -> None:
         rows = [[k] + [_LOG10_HALF] * 7 for k in ks]
         notes.append("kappa=0: all columns analytic log10(1/2)")
     else:
-        _, q_qcb_q, q_half_q, trunc = _spdc_overlaps(params, args.tail_tol)
-        _, q_qcb_c, q_half_c, _ = _coherent_overlaps(params, args.tail_tol)
+        trunc = TruncationSpec.for_params(params, tail_tol=args.tail_tol)
+        rho0, rho1 = build_rho0(params, trunc), build_rho1(params, trunc)
+        _, q_qcb_q, _ = qcb(rho0, rho1)
+        q_half_q = q_s(rho0, rho1, 0.5)
+        q_c = math.exp(-_coherent_exponent(params))  # Q_half = Q_min at s* = 1/2
         gain, gain_note = resolve_gain(params, receiver.gain)
         notes.append(f"gain: {gain_note}")
         notes.append(f"trunc: n_r_max={trunc.n_r_max} n_i_max={trunc.n_i_max}")
         _, r_opa = opa_error_gaussian(params, gain, 1)
-        series: Dict[str, List[Tuple[int, float]]] = {name: [] for name in columns[1:]}
+        rows = []
         for k in ks:
-            b_c = error_prob_bounds(q_half_c, q_qcb_c, k)
+            b_c = error_prob_bounds(q_c, q_c, k)
             b_q = error_prob_bounds(q_half_q, q_qcb_q, k)
             _, log10_hom = homodyne_error(params, k)
             # the log leg stays finite where the probability underflows
             _, log10_gauss = half_erfc_sqrt(r_opa * k)
-            series["lower_classical"].append((k, b_c.log10_lower))
-            series["upper_classical"].append((k, b_c.log10_upper_qcb))
-            series["lower_quantum"].append((k, b_q.log10_lower))
-            series["upper_quantum"].append((k, b_q.log10_upper_qcb))
-            series["homodyne"].append((k, log10_hom))
-            series["opa_exact"].append((k, _log10_or_inf(_opa_exact(params, gain, k, receiver))))
-            series["opa_gaussian"].append((k, log10_gauss))
-        curves = {name: ErrorCurve(name, tuple(pts), digest) for name, pts in series.items()}
-        rows = [[k] + [curves[name].points[i][1] for name in columns[1:]]
-                for i, k in enumerate(ks)]
+            rows.append([k, b_c.log10_lower, b_c.log10_upper_qcb,
+                         b_q.log10_lower, b_q.log10_upper_qcb, log10_hom,
+                         _log10_or_inf(_opa_exact(params, gain, k, receiver)), log10_gauss])
+        _check_error_curves(columns, rows)
 
     _write_csv(out_dir / "bounds.csv", digest, columns, rows)
     _write_meta(out_dir, "bounds", digest, params, receiver, extra, notes)
@@ -312,17 +288,13 @@ def cmd_helstrom(args, params: ScenarioParams, receiver: ReceiverConfig) -> None
         notes.append(f"gain: {gain_note}")
         notes.append(f"helstrom single shot: pe={result.pe_single!r} "
                      f"p01={result.p01!r} p10={result.p10!r}")
-        series: Dict[str, List[Tuple[int, float]]] = {name: [] for name in columns[1:]}
+        rows = []
         for k in ks:
             pe_opa = _opa_exact(params, gain, k, receiver)
             pe_maj = majority_vote_error(p_flip, p_flip, k, method="exact_binomial")
             pe_clt = majority_vote_error(p_flip, p_flip, k, method="clt")
-            series["opa_exact"].append((k, _log10_or_inf(pe_opa)))
-            series["helstrom_majority_exact"].append((k, _log10_or_inf(pe_maj)))
-            series["helstrom_majority_clt"].append((k, _log10_or_inf(pe_clt)))
-        curves = {name: ErrorCurve(name, tuple(pts), digest) for name, pts in series.items()}
-        rows = [[k] + [curves[name].points[i][1] for name in columns[1:]]
-                for i, k in enumerate(ks)]
+            rows.append([k] + [_log10_or_inf(pe) for pe in (pe_opa, pe_maj, pe_clt)])
+        _check_error_curves(columns, rows)
 
     _write_csv(out_dir / "helstrom.csv", digest, columns, rows)
     _write_meta(out_dir, "helstrom", digest, params, receiver, extra, notes)
@@ -346,18 +318,15 @@ def cmd_exponents(args, params: ScenarioParams, receiver: ReceiverConfig) -> Non
 
     if params.kappa == 0.0:
         rows.append(("r_q_numeric", 0.0, "identical hypotheses"))
-        rows.append(("r_c_numeric", 0.0, "identical hypotheses"))
     else:
         trunc = TruncationSpec.for_params(params, tail_tol=args.tail_tol)
         if trunc.n_r_max <= _QCB_CUTOFF_CAP:
-            s_q, q_min_q, _, _ = _spdc_overlaps(params, args.tail_tol)
-            s_c, q_min_c, _, _ = _coherent_overlaps(params, args.tail_tol)
+            s_q, q_min_q, _ = qcb(build_rho0(params, trunc), build_rho1(params, trunc))
             rows.append(("r_q_numeric", -math.log(q_min_q), f"fock chernoff, s*={s_q:.4f}"))
-            rows.append(("r_c_numeric", -math.log(q_min_c), f"fock chernoff, s*={s_c:.4f}"))
         else:
             rows.append(("r_q_numeric", None, f"skipped, cutoff {trunc.n_r_max} too large"))
-            rows.append(("r_c_numeric", None, "skipped with r_q_numeric"))
             notes.append(f"numeric chernoff skipped: n_r_max={trunc.n_r_max} > {_QCB_CUTOFF_CAP}")
+    rows.append(("r_c_numeric", _coherent_exponent(params), "exact closed form, s*=0.5000"))
 
     gain, gain_note = resolve_gain(params, receiver.gain)
     notes.append(f"gain: {gain_note}")

@@ -15,8 +15,8 @@ factorials of a few hundred never appear in linear form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -27,14 +27,12 @@ __all__ = [
     "TruncationSpec",
     "JointState",
     "MomentReport",
-    "SpectralData",
     "thermal_cutoff",
     "idler_photon_pmf",
     "hypergeom_2f1_terminating",
     "build_rho0",
     "build_rho1",
     "moments_check",
-    "block_eigendecompose",
     "thermal_state",
     "build_displaced_thermal",
 ]
@@ -152,12 +150,17 @@ def hypergeom_2f1_terminating(n1: int, n2: int, c_mag: int, z: float) -> float:
     (na, nb the larger/smaller of n1, n2), whose terms are all positive and
     are accumulated as a log-sum-exp.  z == 1 uses the Chu-Vandermonde
     closed form.  Negative z makes the direct series positive term by term.
+    z > 1 is rejected: there the series alternates without a positive
+    rewrite, and build_rho1 never asks for it (its z = 1 - kappa/(n_b
+    (n_b + 1 - kappa)) stays at or below 1).
     """
     for name, v in (("n1", n1), ("n2", n2), ("c_mag", c_mag)):
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0:
             raise DomainError(f"{name} must be a non-negative integer, got {v!r}")
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z}")
+    if z > 1.0:
+        raise DomainError(f"z must be <= 1, got {z}")
     if c_mag < n1 + n2:
         raise DomainError(
             f"need c_mag >= n1 + n2 for a well-defined terminating series, "
@@ -185,36 +188,18 @@ def hypergeom_2f1_terminating(n1: int, n2: int, c_mag: int, z: float) -> float:
             )
         return math.exp(nb * math.log1p(-z) + _logsumexp_pos(logs))
 
-    if z < 0.0:
-        # direct series; (-1)^j from the Pochhammers cancels sign(z)^j
-        logz = math.log(-z)
-        logs = []
-        for j in range(min(n1, n2) + 1):
-            logs.append(
-                (lg(n1 + 1) - lg(n1 - j + 1))
-                + (lg(n2 + 1) - lg(n2 - j + 1))
-                - (lg(c_mag + 1) - lg(c_mag - j + 1))
-                - lg(j + 1)
-                + j * logz
-            )
-        return math.exp(_logsumexp_pos(logs))
-
-    # z > 1: direct alternating series, scaled compensated summation.
-    logz = math.log(z)
-    logmags = []
+    # z < 0: direct series; (-1)^j from the Pochhammers cancels sign(z)^j
+    logz = math.log(-z)
+    logs = []
     for j in range(min(n1, n2) + 1):
-        logmags.append(
+        logs.append(
             (lg(n1 + 1) - lg(n1 - j + 1))
             + (lg(n2 + 1) - lg(n2 - j + 1))
             - (lg(c_mag + 1) - lg(c_mag - j + 1))
             - lg(j + 1)
             + j * logz
         )
-    peak = max(logmags)
-    total = math.fsum(
-        (-1.0) ** j * math.exp(lm - peak) for j, lm in enumerate(logmags)
-    )
-    return math.exp(peak) * total
+    return math.exp(_logsumexp_pos(logs))
 
 
 # --- joint states ----------------------------------------------------------
@@ -393,59 +378,6 @@ def moments_check(state: JointState) -> MomentReport:
                 np.sum(sub * np.sqrt((n1s[:-1] + 1.0) * (n2s[:-1] + 1.0)))
             )
     return MomentReport(mean_n_r=mean_r, mean_n_i=mean_i, cross_corr=abs(cross))
-
-
-# --- spectra ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Per-block eigensystems of a state pair.
-
-    mode 'difference': eigvals/eigvecs[d] decompose rho1 - rho0.
-    mode 'each': eigvals are (w0, w1) pairs with negatives clamped to zero;
-    clamped_mass records how much was clamped in total.
-    """
-
-    mode: str
-    ds: Tuple[int, ...]
-    eigvals: Dict[int, object]
-    eigvecs: Dict[int, object]
-    clamped_mass: float = 0.0
-
-
-def block_eigendecompose(state_pair, mode: str = "difference") -> SpectralData:
-    """Eigendecompose a (rho0, rho1) pair block by block.
-
-    'difference' diagonalizes rho1 - rho0 per block (for optimal-measurement
-    error probabilities); 'each' diagonalizes the two states separately and
-    clamps negative truncation leakage to zero (for fractional powers).
-    """
-    rho0, rho1 = state_pair
-    if rho0.trunc != rho1.trunc:
-        raise DomainError("state pair must share one TruncationSpec")
-    if set(rho0.blocks) != set(rho1.blocks):
-        raise DomainError("state pair must share the same block set")
-    if mode not in ("difference", "each"):
-        raise DomainError(f"mode must be 'difference' or 'each', got {mode!r}")
-
-    ds = tuple(sorted(rho0.blocks))
-    eigvals: Dict[int, object] = {}
-    eigvecs: Dict[int, object] = {}
-    clamped = 0.0
-    for d in ds:
-        if mode == "difference":
-            w, v = np.linalg.eigh(rho1.blocks[d] - rho0.blocks[d])
-            eigvals[d] = w
-            eigvecs[d] = v
-        else:
-            w0, v0 = np.linalg.eigh(rho0.blocks[d])
-            w1, v1 = np.linalg.eigh(rho1.blocks[d])
-            clamped += float(-w0[w0 < 0.0].sum()) + float(-w1[w1 < 0.0].sum())
-            eigvals[d] = (np.clip(w0, 0.0, None), np.clip(w1, 0.0, None))
-            eigvecs[d] = (v0, v1)
-    return SpectralData(
-        mode=mode, ds=ds, eigvals=eigvals, eigvecs=eigvecs, clamped_mass=clamped
-    )
 
 
 # --- single-mode states for the classical benchmark -------------------------

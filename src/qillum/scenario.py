@@ -3,10 +3,9 @@
 A scenario is the physical side of the detection problem: mean signal
 photons per mode ``n_s``, round-trip channel transmissivity ``kappa`` and
 mean background photons per mode ``n_b``.  The receiver side collects the
-knobs of the optical-parametric-amplifier detector: gain, number of mode
-pairs, thresholding policy and count model.  Hypotheses are taken equally
-likely throughout; unequal priors would only rescale prefactors, never
-error exponents.
+knobs of the optical-parametric-amplifier detector: gain, thresholding
+policy and count model.  Hypotheses are taken equally likely throughout;
+unequal priors would only rescale prefactors, never error exponents.
 """
 
 from __future__ import annotations
@@ -76,10 +75,9 @@ class ScenarioParams:
 
 @dataclass(frozen=True)
 class ReceiverConfig:
-    """Receiver knobs: gain spec, copy count, threshold policy, count model."""
+    """Receiver knobs: gain spec, threshold policy, count model."""
 
     gain: Union[float, str] = GAIN_AUTO
-    k: int = 1
     threshold_policy: ThresholdPolicy = ThresholdPolicy.PAPER_FORMULA
     count_model: CountModel = CountModel.FULL_COUNTING
 
@@ -95,8 +93,6 @@ class ReceiverConfig:
                 raise DomainError(f"gain must be numeric or a preset name, got {self.gain!r}")
             if not math.isfinite(self.gain) or self.gain <= 1.0:
                 raise DomainError(f"explicit gain must satisfy G > 1, got {self.gain}")
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise DomainError(f"k must be an integer >= 1, got {self.k!r}")
         if not isinstance(self.threshold_policy, ThresholdPolicy):
             raise DomainError(f"bad threshold_policy: {self.threshold_policy!r}")
         if not isinstance(self.count_model, CountModel):
@@ -125,7 +121,7 @@ def validate_params(raw) -> ScenarioParams:
 
 
 _SCENARIO_KEYS = ("n_s", "kappa", "n_b")
-_RECEIVER_KEYS = ("gain", "k", "threshold_policy", "count_model")
+_RECEIVER_KEYS = ("gain", "threshold_policy", "count_model")
 
 
 def _parse_float(key: str, value: str, lineno: int) -> float:
@@ -140,7 +136,7 @@ def parse_config(text: str):
 
     Lines are independent; ``#`` starts a comment; unknown or duplicate keys
     are rejected.  Scenario keys are required, receiver keys fall back to
-    defaults (gain=auto, k=1, paper_formula, full_counting).
+    defaults (gain=auto, paper_formula, full_counting).
     """
     seen: dict = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -177,12 +173,6 @@ def parse_config(text: str):
             kwargs["gain"] = value
         else:
             kwargs["gain"] = _parse_float("gain", value, lineno)
-    if "k" in seen:
-        value, lineno = seen["k"]
-        try:
-            kwargs["k"] = int(value, 10)
-        except ValueError:
-            raise ParseError(f"line {lineno}: key 'k' needs an integer, got {value!r}") from None
     if "threshold_policy" in seen:
         value, lineno = seen["threshold_policy"]
         try:
@@ -210,7 +200,6 @@ def render_config(params: ScenarioParams, receiver: ReceiverConfig) -> str:
         f"kappa={params.kappa!r}",
         f"n_b={params.n_b!r}",
         f"gain={gain}",
-        f"k={receiver.k}",
         f"threshold_policy={receiver.threshold_policy.value}",
         f"count_model={receiver.count_model.value}",
     ]

@@ -76,9 +76,10 @@ def test_criterion_02_numeric_chernoff(spdc_pair, coherent_pair):
     ok_c = abs(exp_c - 1.25e-6) <= 0.10 * 1.25e-6
     ok_time = t_q <= 60.0 and t_c <= 60.0
     ok = ok_q and ok_c and ok_time
-    # The entangled-pair exponent converges to kappa n_s/n_b only as
-    # n_b -> infinity; at n_b=20 the exact value is 21% short, so ok_q
-    # is genuinely false.  The classical pair is within 2.4%.
+    # The entangled-pair exponent approaches kappa n_s/n_b only as n_b -> inf
+    # and n_s -> 0 together; at n_s = 0.01 the ratio saturates near 0.827.
+    # At n_b=20 the exact value is 21% short, so ok_q is genuinely false.
+    # The classical pair is within 2.4%.
     assert report(
         2, "numeric chernoff vs asymptotes", ok,
         f"quantum {exp_q:.6e} ({exp_q / 5e-6:.4f} of 5e-6), "

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from qillum import (
     q_s,
     qcb,
 )
+from qillum.cli import _coherent_exponent
 
 from conftest import TAIL
 
@@ -109,6 +111,41 @@ class TestQcb:
     def test_never_above_bhattacharyya(self, coherent_pair):
         _, q_min, _ = qcb(*coherent_pair)
         assert q_min <= q_s(*coherent_pair, 0.5)
+
+
+class TestCoherentClosedForm:
+    """The CLI's coherent-state exponent kappa n_s / (sqrt(n_b+1) + sqrt(n_b))**2,
+    the exact Chernoff exponent of thermal vs displaced thermal (s* = 1/2)."""
+
+    @pytest.mark.parametrize("n_b", [1e-3, 1.0, 20.0, 100.0, 1e4, 1e8])
+    def test_against_mpmath(self, n_b):
+        params = ScenarioParams(0.01, 0.01, n_b)
+        with mpmath.workdps(50):
+            nb = mpmath.mpf(n_b)
+            kns = mpmath.mpf(params.kappa * params.n_s)
+            want = kns * (mpmath.sqrt(nb + 1) - mpmath.sqrt(nb)) ** 2
+            got = _coherent_exponent(params)
+            assert abs(got - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("n_b", [1.0, 20.0, 100.0])
+    def test_matches_overlap_at_half(self, n_b):
+        """-ln Q_half of the closed-form overlap, and Q_s = Q_(1-s) >= Q_half."""
+        params = ScenarioParams(0.01, 0.3, n_b)
+        delta_sq = params.kappa * params.n_s
+        q_half = displaced_thermal_overlap(delta_sq, n_b, 0.5)
+        assert _coherent_exponent(params) == pytest.approx(-math.log(q_half), rel=1e-9)
+        for s in (0.1, 0.3, 0.45):
+            q = displaced_thermal_overlap(delta_sq, n_b, s)
+            assert q == pytest.approx(displaced_thermal_overlap(delta_sq, n_b, 1.0 - s),
+                                      rel=1e-12)
+            assert q > q_half
+
+    def test_dense_fock_route_sits_just_above(self, ref_params, coherent_pair):
+        """The truncated dense pair overstates the exponent: by 8.1e-4 rel at
+        the reference point, so its bias is bounded here by 1e-3 rel."""
+        _, _, fock = qcb(*coherent_pair)
+        bias = fock / _coherent_exponent(ref_params) - 1.0
+        assert 0.0 < bias < 1e-3
 
 
 class TestErrorProbBounds:
@@ -218,10 +255,12 @@ def growth_ratios():
 class TestBrightBackgroundConvergence:
     """Numeric SPDC exponent over kappa n_s / n_b along a growing-n_b path.
 
-    The ratio climbs toward 1 from below but is still 17% short at
-    n_b = 200; only the first checkpoint sits inside a 25% band.  The
-    frozen values keep the trend honest instead of asserting a closeness
-    the truncated computation does not deliver.
+    The ratio rises with n_b but saturates below 1: at n_s = 0.01 it levels
+    off near 0.827 (the Gaussian-state exponent gives 0.8264 at n_b = 1e3
+    and 0.8272 at 1e4), and it reaches 1 only as n_s -> 0 as well.  Only
+    the first checkpoint sits inside a 25% band.  The frozen values keep
+    the trend honest instead of asserting a closeness the exact exponent
+    does not have.
     """
 
     def test_frozen_values(self, growth_ratios):

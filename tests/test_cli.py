@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from qillum import (
+    DomainError,
     ScenarioParams,
     TruncationSpec,
     build_rho0,
@@ -19,7 +20,7 @@ from qillum import (
     opa_error_onoff,
     optimize_gain,
 )
-from qillum.cli import ErrorCurve, main
+from qillum.cli import _check_error_curves, _coherent_exponent, main
 
 FAST_CONFIG = """\
 # low-background scenario, cheap to build
@@ -157,8 +158,9 @@ class TestCountModel:
 
     GRID = ["--k-min", "10", "--k-max", "1000", "--k-points", "5",
             "--threshold-policy", "optimal_scan"]
-    # digests of the full_counting runs, unchanged since the knob was wired
-    DIGESTS = {"bounds": "9cd9c61e3777", "helstrom": "788d7e28ff49"}
+    # digests of the full_counting runs: the rendered config without a k= line
+    # (with k=1 they were 9cd9c61e3777 and 788d7e28ff49)
+    DIGESTS = {"bounds": "6cc13f84ec03", "helstrom": "e81d6787094c"}
     OPA_COLUMN = {"bounds": 6, "helstrom": 1}
 
     def run(self, tmp_path, command, model):
@@ -228,11 +230,29 @@ class TestExponentsCommand:
         assert table["r_c_closed"] == "1.25e-06"
         assert float(table["r_c_hom_closed"]) == pytest.approx(1e-4 / 82, rel=1e-15)
         assert float(table["r_q_numeric"]) == pytest.approx(3.95767964520738e-6, rel=1e-6)
-        assert float(table["r_c_numeric"]) == pytest.approx(1.2206811684392367e-6, rel=1e-6)
+        # exact closed form kappa n_s (sqrt(n_b+1) - sqrt(n_b))**2; mpmath: 1.2196936161606467e-6
+        assert float(table["r_c_numeric"]) == pytest.approx(1.2196936161606469e-6, rel=1e-6)
         assert float(table["g_star"]) == pytest.approx(1.0050090653144212, rel=1e-9)
         # R_Q / R_C = 4 exactly, i.e. 6.02 dB
         assert float(table["db_r_q_vs_r_c"]) == pytest.approx(10 * math.log10(4), abs=1e-12)
         assert float(table["db_opa_vs_r_c"]) == pytest.approx(2.0, abs=0.1)
+
+    def test_past_the_cutoff_cap(self, tmp_path, capsys):
+        """At n_b = 1e3 the Fock Chernoff pass is skipped, but the coherent
+        exponent is a closed form and is always reported."""
+        cfg = tmp_path / "bright.cfg"
+        cfg.write_text("n_s = 0.01\nkappa = 0.01\nn_b = 1000.0\n", encoding="ascii")
+        out = tmp_path / "run"
+        assert main(["exponents", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        _, _, rows = read_csv(out / "exponents.csv")
+        cells = {row[0]: (row[1], ",".join(row[2:])) for row in rows}
+        assert cells["r_q_numeric"][0] == "nan"
+        assert cells["r_q_numeric"][1].startswith("skipped, cutoff")
+        want = _coherent_exponent(ScenarioParams(0.01, 0.01, 1000.0))
+        assert cells["r_c_numeric"] == (repr(want), "exact closed form, s*=0.5000")
+        meta = (out / "meta.txt").read_text(encoding="ascii")
+        assert "note=numeric chernoff skipped" in meta
 
     def test_kappa_zero_placeholders(self, tmp_path, capsys):
         cfg = tmp_path / "dark.cfg"
@@ -346,14 +366,17 @@ class TestExitCodes:
 
 
 class TestErrorCurve:
+    """The guard that bounds and helstrom run on their rows before writing."""
+
+    COLUMNS = ["K", "x"]
+
     def test_rejects_unsorted_grid(self):
-        with pytest.raises(Exception):
-            ErrorCurve("x", ((10, -1.0), (10, -2.0)), "abc")
+        with pytest.raises(DomainError):
+            _check_error_curves(self.COLUMNS, [[10, -1.0], [10, -2.0]])
 
     def test_rejects_probability_above_half(self):
-        with pytest.raises(Exception):
-            ErrorCurve("x", ((1, -0.2),), "abc")
+        with pytest.raises(DomainError):
+            _check_error_curves(self.COLUMNS, [[1, -0.2]])
 
     def test_accepts_valid_curve(self):
-        c = ErrorCurve("x", ((1, -0.4), (10, -1.0)), "abc")
-        assert c.points[1] == (10, -1.0)
+        _check_error_curves(self.COLUMNS, [[1, -0.4], [10, -1.0]])

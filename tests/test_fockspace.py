@@ -11,7 +11,6 @@ from qillum import (
     ScenarioParams,
     TruncationError,
     TruncationSpec,
-    block_eigendecompose,
     build_displaced_thermal,
     build_rho0,
     build_rho1,
@@ -22,6 +21,7 @@ from qillum import (
     thermal_cutoff,
     thermal_state,
 )
+from qillum.bounds import _SpectralPair
 from qillum.fockspace import JointState
 
 from conftest import TAIL
@@ -127,28 +127,12 @@ class TestHypergeometric:
                         else:
                             assert got == pytest.approx(float(want), rel=1e-12)
 
-    def test_alternating_branch_against_fraction_oracle(self):
-        """z > 1 alternates and cancels, so the budget scales with the
-        largest term of the series rather than with the tiny result."""
-        for n1 in range(11):
-            for n2 in range(11):
-                for l in range(6):
-                    c = n1 + n2 + l
-                    for z in (Fraction(3, 2), Fraction(2), Fraction(3)):
-                        terms = []
-                        term = Fraction(1)
-                        top = min(n1, n2)
-                        for j in range(top + 1):
-                            terms.append(term)
-                            if j < top:
-                                term *= (
-                                    Fraction(-(n1 - j) * (n2 - j), (c - j) * (j + 1))
-                                    * z
-                                )
-                        want = float(sum(terms))
-                        peak = max(abs(float(t)) for t in terms)
-                        got = hypergeom_2f1_terminating(n1, n2, c, float(z))
-                        assert abs(got - want) <= 1e-13 * peak
+    @pytest.mark.parametrize("z", [1.5, 2.0, 3.0])
+    def test_rejects_z_above_one(self, z):
+        """build_rho1 only needs z = 1 - kappa/(n_b (n_b+1-kappa)) <= 1; the
+        alternating z > 1 series is refused rather than summed."""
+        with pytest.raises(DomainError, match="z must be <= 1"):
+            hypergeom_2f1_terminating(3, 2, 6, z)
 
     @pytest.mark.parametrize(
         "args",
@@ -258,26 +242,34 @@ def small_pair():
     return build_rho0(params, trunc), build_rho1(params, trunc)
 
 
+def block_difference_spectra(rho0, rho1):
+    """eigh of rho1 - rho0 block by block: {d: (eigenvalues, eigenvectors)}."""
+    return {d: np.linalg.eigh(rho1.blocks[d] - rho0.blocks[d]) for d in sorted(rho0.blocks)}
+
+
 class TestBlockEigendecompose:
+    """Per-block spectra of a state pair, as the Chernoff and Helstrom layers
+    take them, against dense and closed-form oracles."""
+
     def test_identical_difference_is_zero(self, small_pair):
         rho0, _ = small_pair
-        spec = block_eigendecompose((rho0, rho0), mode="difference")
-        worst = max(float(np.abs(spec.eigvals[d]).max()) for d in spec.ds)
+        spectra = block_difference_spectra(rho0, rho0)
+        worst = max(float(np.abs(w).max()) for w, _ in spectra.values())
         assert worst <= 1e-14
+        assert helstrom_single_shot(rho0, rho0).pe_single == pytest.approx(0.5, abs=1e-14)
 
     def test_difference_reconstruction(self, small_pair):
         rho0, rho1 = small_pair
-        spec = block_eigendecompose((rho0, rho1), mode="difference")
-        for d in spec.ds:
+        for d, (w, v) in block_difference_spectra(rho0, rho1).items():
             target = rho1.blocks[d] - rho0.blocks[d]
-            back = spec.eigvecs[d] @ np.diag(spec.eigvals[d]) @ spec.eigvecs[d].T
+            back = v @ np.diag(w) @ v.T
             assert float(np.abs(back - target).max()) <= 1e-10
 
     def test_trace_distance_matches_dense_oracle(self, small_pair):
         """Blockwise |eigenvalue| sum equals the one-shot dense eigensolve."""
         rho0, rho1 = small_pair
-        spec = block_eigendecompose((rho0, rho1), mode="difference")
-        t_block = sum(float(np.abs(spec.eigvals[d]).sum()) for d in spec.ds)
+        spectra = block_difference_spectra(rho0, rho1)
+        t_block = sum(float(np.abs(w).sum()) for w, _ in spectra.values())
         dense = rho1.to_dense() - rho0.to_dense()
         t_dense = float(np.abs(np.linalg.eigvalsh(dense)).sum())
         assert t_block == pytest.approx(t_dense, abs=1e-13)
@@ -285,25 +277,23 @@ class TestBlockEigendecompose:
 
     def test_positive_part_matches_helstrom(self, small_pair):
         rho0, rho1 = small_pair
-        spec = block_eigendecompose((rho0, rho1), mode="difference")
-        gamma_plus = sum(
-            float(spec.eigvals[d][spec.eigvals[d] > 0].sum()) for d in spec.ds
-        )
+        spectra = block_difference_spectra(rho0, rho1)
+        gamma_plus = sum(float(w[w > 0].sum()) for w, _ in spectra.values())
         pe = helstrom_single_shot(rho0, rho1).pe_single
         assert (1 - gamma_plus) / 2 == pytest.approx(pe, abs=1e-12)
 
     def test_each_mode_clamps_and_reports(self, small_pair):
-        spec = block_eigendecompose(small_pair, mode="each")
-        assert 0.0 <= spec.clamped_mass <= 1e-8
-        for d in spec.ds:
-            w0, w1 = spec.eigvals[d]
+        """The Chernoff layer clamps each state's spectrum at zero; the
+        Helstrom result reports how much negative leakage that was."""
+        assert 0.0 <= helstrom_single_shot(*small_pair).clamped_mass <= 1e-8
+        for w0, w1, _ in _SpectralPair(*small_pair).terms:
             assert np.all(w0 >= 0.0) and np.all(w1 >= 0.0)
 
-    def test_rejects_bad_mode_and_mismatched_truncation(self, small_pair, spdc_pair):
+    def test_rejects_mismatched_truncation(self, small_pair, spdc_pair):
         with pytest.raises(DomainError):
-            block_eigendecompose(small_pair, mode="both")
+            helstrom_single_shot(small_pair[0], spdc_pair[1])
         with pytest.raises(DomainError):
-            block_eigendecompose((small_pair[0], spdc_pair[1]))
+            _SpectralPair(small_pair[0], spdc_pair[1])
 
 
 class TestThermalState:

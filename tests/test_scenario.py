@@ -56,7 +56,6 @@ class TestReceiverConfig:
     def test_defaults(self):
         r = ReceiverConfig()
         assert r.gain == GAIN_AUTO
-        assert r.k == 1
         assert r.threshold_policy is ThresholdPolicy.PAPER_FORMULA
         assert r.count_model is CountModel.FULL_COUNTING
 
@@ -69,10 +68,14 @@ class TestReceiverConfig:
         with pytest.raises(DomainError):
             ReceiverConfig(gain=gain)
 
-    @pytest.mark.parametrize("k", [0, -3, 1.5, True])
+    @pytest.mark.parametrize("k", [0, -3, 1.5, True, 3])
     def test_rejects_bad_k(self, k):
-        with pytest.raises(DomainError):
-            ReceiverConfig(k=k)
+        """There is no copy-count knob: a k= line is an unknown key at its
+        line whatever its value, and render_config writes none."""
+        with pytest.raises(ParseError, match="line 4: unknown key 'k'"):
+            parse_config(f"n_s=0.01\nkappa=0.01\nn_b=20\nk={k}\ngain=auto\n")
+        rendered = render_config(ScenarioParams(0.01, 0.01, 20.0), ReceiverConfig())
+        assert not any(line.startswith("k=") for line in rendered.splitlines())
 
     def test_rejects_raw_enum_strings(self):
         with pytest.raises(DomainError):
@@ -110,7 +113,6 @@ kappa = 0.01   # round trip
 n_b = 20.0
 
 gain = auto
-k = 3
 threshold_policy = optimal_scan
 count_model = on_off
 """
@@ -121,7 +123,6 @@ class TestParseConfig:
         params, receiver = parse_config(CONFIG_OK)
         assert params == ScenarioParams(0.01, 0.01, 20.0)
         assert receiver.gain == GAIN_AUTO
-        assert receiver.k == 3
         assert receiver.threshold_policy is ThresholdPolicy.OPTIMAL_SCAN
         assert receiver.count_model is CountModel.ON_OFF
 
@@ -161,7 +162,7 @@ class TestRenderConfig:
         # 0.1 + 0.2 is deliberately not representable as a short decimal
         params = ScenarioParams(n_s=0.1 + 0.2, kappa=1e-9, n_b=20.0)
         receiver = ReceiverConfig(
-            gain=gain, k=17,
+            gain=gain,
             threshold_policy=ThresholdPolicy.OPTIMAL_SCAN,
             count_model=CountModel.ON_OFF,
         )
