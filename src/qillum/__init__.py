@@ -11,6 +11,7 @@ from .bounds import (
     ExponentReport,
     asymptotic_exponents,
     error_prob_bounds,
+    overlaps,
     q_s,
     qcb,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "BoundTriple",
     "q_s",
     "qcb",
+    "overlaps",
     "error_prob_bounds",
     "asymptotic_exponents",
     # receivers

@@ -1,9 +1,11 @@
 """Overlap functionals and K-copy error-probability bounds.
 
 The s-overlap Q_s = Tr(rho0^s rho1^(1-s)) is evaluated spectrally: both
-states are eigendecomposed once (block by block for the entangled pair,
-densely for single-mode benchmarks), after which every s costs one weighted
-quadratic form.  Q_s is log-convex in s with Q_0, Q_1 <= 1, so the Chernoff
+states are eigendecomposed once, after which every s costs one weighted
+quadratic form per block.  The blocks of the entangled pair are batched by
+size, so each state takes one batched ``eigh`` per distinct block size and
+each Q_s one ``einsum`` per size; a dense single-mode benchmark is the
+one-block case.  Q_s is log-convex in s with Q_0, Q_1 <= 1, so the Chernoff
 minimum is found by golden section, backed by a coarse scan.
 
 For K independent mode pairs the minimum error probability is sandwiched by
@@ -31,6 +33,7 @@ __all__ = [
     "BoundTriple",
     "q_s",
     "qcb",
+    "overlaps",
     "error_prob_bounds",
     "asymptotic_exponents",
 ]
@@ -43,43 +46,68 @@ _FLAT_Q_TOL = 1e-12  # treat 1 - Q below this as "states indistinguishable"
 
 # --- spectral plumbing -------------------------------------------------------
 
-def _pair_blocks(rho0, rho1) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Normalize a state pair into a list of matching matrix blocks."""
+def _pair_groups(rho0, rho1) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Normalize a state pair into matching (count, size, size) batches."""
     if isinstance(rho0, JointState) and isinstance(rho1, JointState):
         if rho0.trunc != rho1.trunc:
             raise DomainError("state pair must share one TruncationSpec")
-        if set(rho0.blocks) != set(rho1.blocks):
-            raise DomainError("state pair must share the same block set")
-        return [(rho0.blocks[d], rho1.blocks[d]) for d in sorted(rho0.blocks)]
+        return list(zip(rho0.size_groups(), rho1.size_groups()))
     a = np.asarray(rho0, dtype=float)
     b = np.asarray(rho1, dtype=float)
     if a.ndim != 2 or a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise DomainError("single-mode states must be equal-shape square matrices")
-    return [(a, b)]
+    return [(a[np.newaxis], b[np.newaxis])]
 
 
 class _SpectralPair:
     """Cached eigensystems of a state pair for repeated Q_s evaluation.
 
-    Keeps, per block, the clamped spectra w0, w1 and the squared overlap
-    matrix M_ij = |<u_i | v_j>|^2, so Q_s = sum_b w0^s . M . w1^(1-s).
+    Keeps, per size group, the stacked clamped spectra w0, w1 and squared
+    overlap matrices M_ij = |<u_i | v_j>|^2, so that
+    Q_s = sum over blocks of w0^s . M . w1^(1-s).
     """
 
     def __init__(self, rho0, rho1):
         self.terms = []
-        for b0, b1 in _pair_blocks(rho0, rho1):
+        for b0, b1 in _pair_groups(rho0, rho1):
             w0, u0 = np.linalg.eigh(b0)
             w1, u1 = np.linalg.eigh(b1)
             np.clip(w0, 0.0, None, out=w0)
             np.clip(w1, 0.0, None, out=w1)
-            overlap_sq = (u0.T @ u1) ** 2
+            overlap_sq = np.matmul(u0.transpose(0, 2, 1), u1)
+            np.square(overlap_sq, out=overlap_sq)
             self.terms.append((w0, w1, overlap_sq))
 
     def q_s(self, s: float) -> float:
-        total = 0.0
-        for w0, w1, m in self.terms:
-            total += float(np.power(w0, s) @ m @ np.power(w1, 1.0 - s))
-        return total
+        # per-block contributions, summed exactly so their order cannot matter
+        return math.fsum(np.concatenate([
+            np.einsum("bi,bij,bj->b", np.power(w0, s), m, np.power(w1, 1.0 - s))
+            for w0, w1, m in self.terms
+        ]).tolist())
+
+    def chernoff(self) -> Tuple[float, float, float]:
+        """(s_star, q_min, q_half): the search behind qcb."""
+        s_gs, q_gs = golden_section_min(self.q_s, 0.0, 1.0, _S_TOL)
+
+        grid = np.linspace(0.0, 1.0, _SCAN_POINTS)
+        q_grid = [self.q_s(float(s)) for s in grid]
+        i_min = int(np.argmin(q_grid))
+        s_best, q_best = s_gs, q_gs
+        if q_grid[i_min] < q_best - 1e-12:
+            # unimodality assumption failed; refine around the scan minimum
+            lo = grid[max(i_min - 1, 0)]
+            hi = grid[min(i_min + 1, len(grid) - 1)]
+            s_best, q_best = golden_section_min(self.q_s, float(lo), float(hi), _S_TOL)
+            if q_grid[i_min] < q_best:
+                s_best, q_best = float(grid[i_min]), q_grid[i_min]
+
+        q_half = self.q_s(0.5)
+        if q_half <= q_best:
+            s_best, q_best = 0.5, q_half
+
+        if 1.0 - q_best <= _FLAT_Q_TOL:
+            s_best = 0.5
+        return s_best, q_best, q_half
 
 
 def q_s(rho0, rho1, s: float) -> float:
@@ -105,28 +133,15 @@ def qcb(rho0, rho1) -> Tuple[float, float, float]:
     s = 0.5 is always a candidate, so q_min <= Q_half holds exactly.
     Indistinguishable states report s_star = 0.5 by convention.
     """
-    pair = _SpectralPair(rho0, rho1)
-    s_gs, q_gs = golden_section_min(pair.q_s, 0.0, 1.0, _S_TOL)
+    s_star, q_min, _ = _SpectralPair(rho0, rho1).chernoff()
+    return s_star, q_min, max(0.0, -math.log(q_min))
 
-    grid = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    q_grid = [pair.q_s(float(s)) for s in grid]
-    i_min = int(np.argmin(q_grid))
-    s_best, q_best = s_gs, q_gs
-    if q_grid[i_min] < q_best - 1e-12:
-        # unimodality assumption failed; refine around the scan minimum
-        lo = grid[max(i_min - 1, 0)]
-        hi = grid[min(i_min + 1, len(grid) - 1)]
-        s_best, q_best = golden_section_min(pair.q_s, float(lo), float(hi), _S_TOL)
-        if q_grid[i_min] < q_best:
-            s_best, q_best = float(grid[i_min]), q_grid[i_min]
 
-    q_half = pair.q_s(0.5)
-    if q_half <= q_best:
-        s_best, q_best = 0.5, q_half
-
-    if 1.0 - q_best <= _FLAT_Q_TOL:
-        return 0.5, q_best, max(0.0, -math.log(q_best))
-    return s_best, q_best, max(0.0, -math.log(q_best))
+def overlaps(rho0, rho1) -> Tuple[float, float]:
+    """(Q_half, Q_min): q_s(rho0, rho1, 0.5) and qcb's q_min from one
+    spectral decomposition of the pair."""
+    _, q_min, q_half = _SpectralPair(rho0, rho1).chernoff()
+    return q_half, q_min
 
 
 # --- K-copy sandwich ---------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bounds import asymptotic_exponents, error_prob_bounds, q_s, qcb
+from .bounds import asymptotic_exponents, error_prob_bounds, overlaps, qcb
 from .errors import DomainError, ParseError, QIError
 from .fockspace import TruncationSpec, build_rho0, build_rho1
 from .receivers import (
@@ -53,9 +53,11 @@ from .scenario import (
 
 _LOG10_HALF = math.log10(0.5)
 
-# The Fock Chernoff pass of the entangled pair loops over every
-# photon-number block in Python; past this return-mode cutoff (n_b around
-# 250 at tail 1e-9) the exponents table skips r_q_numeric.
+# The Fock Chernoff pass of the entangled pair grows with the return-mode
+# cutoff (one batched eigensolve per block size, then ~130 Q_s evaluations
+# over every block); past this cutoff (n_b around 250 at tail 1e-9) the
+# exponents table skips r_q_numeric until a Gaussian entangled-pair route
+# replaces it.
 _QCB_CUTOFF_CAP = 5000
 
 _DEFAULT_PARAMS = ScenarioParams(n_s=0.01, kappa=0.01, n_b=20.0)
@@ -237,8 +239,7 @@ def cmd_bounds(args, params: ScenarioParams, receiver: ReceiverConfig) -> None:
     else:
         trunc = TruncationSpec.for_params(params, tail_tol=args.tail_tol)
         rho0, rho1 = build_rho0(params, trunc), build_rho1(params, trunc)
-        _, q_qcb_q, _ = qcb(rho0, rho1)
-        q_half_q = q_s(rho0, rho1, 0.5)
+        q_half_q, q_qcb_q = overlaps(rho0, rho1)
         q_c = math.exp(-_coherent_exponent(params))  # Q_half = Q_min at s* = 1/2
         gain, gain_note = resolve_gain(params, receiver.gain)
         notes.append(f"gain: {gain_note}")

@@ -8,18 +8,23 @@ return mode may need several hundred levels when the background is bright,
 while the idler stays within a handful, so this layout keeps everything at
 desk scale.
 
-Matrix elements are accumulated as log magnitudes and exponentiated once;
-factorials of a few hundred never appear in linear form.
+The blocks live in one read-only, zero-padded ``(n_blocks, m, m)`` stack
+with m = n_i_max + 1, and the builders fill it one (column, offset) pair at
+a time across all blocks at once, so no Python loop runs per block.
+Matrix elements are accumulated as log magnitudes (log-factorials from one
+``gammaln`` table) and exponentiated once; factorials of a few hundred
+never appear in linear form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from .errors import DomainError, TruncationError
 
@@ -113,10 +118,10 @@ def idler_photon_pmf(n_s: float, n: int) -> float:
     return math.exp(n * math.log(n_s) - (n + 1) * math.log1p(n_s))
 
 
-def _log_thermal_weight(n: int, mean: float) -> float:
-    """log of mean**n / (mean+1)**(n+1); -inf when mean == 0 and n > 0."""
+def _log_thermal_weights(n: np.ndarray, mean: float) -> np.ndarray:
+    """log of mean**n / (mean+1)**(n+1) elementwise; -inf where mean == 0 and n > 0."""
     if mean == 0.0:
-        return 0.0 if n == 0 else -math.inf
+        return np.where(n == 0, 0.0, -math.inf)
     return n * math.log(mean) - (n + 1) * math.log1p(mean)
 
 
@@ -153,6 +158,10 @@ def hypergeom_2f1_terminating(n1: int, n2: int, c_mag: int, z: float) -> float:
     z > 1 is rejected: there the series alternates without a positive
     rewrite, and build_rho1 never asks for it (its z = 1 - kappa/(n_b
     (n_b + 1 - kappa)) stays at or below 1).
+
+    build_rho1 evaluates the same branches on whole arrays
+    (``_hyp2f1_rows``); this scalar form is the reference it is tested
+    against.
     """
     for name, v in (("n1", n1), ("n2", n2), ("c_mag", c_mag)):
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0:
@@ -211,18 +220,59 @@ def _block_range(d: int, trunc: TruncationSpec) -> Tuple[int, int]:
     return lo, hi
 
 
+def _block_layout(trunc: TruncationSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, lo, size) for every block, indexed by stack position k = d + n_i_max:
+    the array form of _block_range."""
+    d = np.arange(-trunc.n_i_max, trunc.n_r_max + 1)
+    lo = np.maximum(0, -d)
+    size = np.minimum(trunc.n_i_max, trunc.n_r_max - d) - lo + 1
+    return d, lo, size
+
+
+def _stack_from_blocks(blocks: Dict[int, np.ndarray], trunc: TruncationSpec) -> np.ndarray:
+    """Copy hand-built blocks into a zero-padded stack, checking their layout."""
+    d, _, size = _block_layout(trunc)
+    if set(blocks) != set(d.tolist()):
+        raise DomainError("blocks must cover d = -n_i_max .. n_r_max exactly")
+    m = trunc.n_i_max + 1
+    stack = np.zeros((d.size, m, m))
+    for k, (dk, sk) in enumerate(zip(d.tolist(), size.tolist())):
+        block = np.asarray(blocks[dk], dtype=float)
+        if block.shape != (sk, sk):
+            raise DomainError(f"block {dk} must be {sk}x{sk}, got shape {block.shape}")
+        stack[k, :sk, :sk] = block
+    return stack
+
+
+def _block_views(stack: np.ndarray, trunc: TruncationSpec) -> Dict[int, np.ndarray]:
+    """Freeze the stack and map each d to its (size, size) corner."""
+    stack.flags.writeable = False
+    d, _, size = _block_layout(trunc)
+    return {dk: stack[k, :sk, :sk] for k, (dk, sk) in enumerate(zip(d.tolist(), size.tolist()))}
+
+
 @dataclass(frozen=True)
 class JointState:
     """One return-idler density operator, block-diagonal in d = n_R - n_I.
 
     blocks[d] is a real-symmetric matrix over idler numbers
     n2 = max(0,-d) .. min(n_i_max, n_r_max - d); the paired return number is
-    n2 + d.  Treated as immutable after construction.
+    n2 + d.  Every block is a read-only view into ``stack``, the blocks
+    zero-padded into one (n_blocks, n_i_max+1, n_i_max+1) array at position
+    k = d + n_i_max.  Hand-built states pass only blocks (one per d, of the
+    right size); they are copied into a fresh stack.
     """
 
     blocks: Dict[int, np.ndarray]
     trunc: TruncationSpec
     hypothesis: str
+    stack: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.stack is None:
+            stack = _stack_from_blocks(self.blocks, self.trunc)
+            object.__setattr__(self, "stack", stack)
+            object.__setattr__(self, "blocks", _block_views(stack, self.trunc))
 
     def block_basis(self, d: int) -> Tuple[np.ndarray, np.ndarray]:
         """(return numbers, idler numbers) labeling the rows of blocks[d]."""
@@ -230,8 +280,21 @@ class JointState:
         n2 = np.arange(lo, hi + 1)
         return n2 + d, n2
 
+    def size_groups(self) -> List[np.ndarray]:
+        """The blocks batched by size: one (count, size, size) array per
+        distinct block size, in increasing size.  Padding never enters.  A
+        size whose blocks sit next to each other in the stack (the widest
+        one, which holds nearly every block) comes as a view, not a copy."""
+        _, _, size = _block_layout(self.trunc)
+        groups = []
+        for s in np.unique(size).tolist():
+            k = np.flatnonzero(size == s)
+            rows = slice(k[0], k[-1] + 1) if k[-1] - k[0] + 1 == k.size else k
+            groups.append(self.stack[rows, :s, :s])
+        return groups
+
     def trace(self) -> float:
-        return float(sum(np.trace(b) for b in self.blocks.values()))
+        return math.fsum(self.stack.diagonal(axis1=1, axis2=2).ravel().tolist())
 
     def hermiticity_defect(self) -> float:
         return float(
@@ -273,25 +336,59 @@ class MomentReport:
                 raise DomainError(f"{name} must be finite and >= 0, got {v}")
 
 
-def _all_block_ds(trunc: TruncationSpec):
-    return range(-trunc.n_i_max, trunc.n_r_max + 1)
+def _new_state(stack: np.ndarray, trunc: TruncationSpec, hypothesis: str) -> JointState:
+    return JointState(blocks=_block_views(stack, trunc), trunc=trunc,
+                      hypothesis=hypothesis, stack=stack)
 
 
 def build_rho0(params, trunc: TruncationSpec) -> JointState:
     """Target-absent state: thermal background in the return mode times the
     idler marginal.  Diagonal in the number basis."""
     trunc.validate_for(params)
-    blocks: Dict[int, np.ndarray] = {}
-    for d in _all_block_ds(trunc):
-        lo, hi = _block_range(d, trunc)
-        size = hi - lo + 1
-        diag = np.empty(size)
-        for i, n2 in enumerate(range(lo, hi + 1)):
-            n1 = n2 + d
-            lw = _log_thermal_weight(n1, params.n_b) + _log_thermal_weight(n2, params.n_s)
-            diag[i] = math.exp(lw) if lw > -math.inf else 0.0
-        blocks[d] = np.diag(diag)
-    return JointState(blocks=blocks, trunc=trunc, hypothesis="H0")
+    d, lo, size = _block_layout(trunc)
+    m = trunc.n_i_max + 1
+    stack = np.zeros((d.size, m, m))
+    for c in range(m):
+        rows = size > c
+        n2 = lo[rows] + c
+        n1 = n2 + d[rows]
+        lw = _log_thermal_weights(n1, params.n_b) + _log_thermal_weights(n2, params.n_s)
+        stack[rows, c, c] = np.exp(lw)
+    return _new_state(stack, trunc, "H0")
+
+
+def _hyp2f1_rows(n1: np.ndarray, n2: np.ndarray, l: int, z: float,
+                 log_fact: np.ndarray) -> np.ndarray:
+    """hypergeom_2f1_terminating(n1, n2, n1 + n2 + l, z) elementwise over
+    index arrays, with the same branches; log_fact[n] = ln n!.
+
+    The at most n_i_max + 1 series terms are summed in log form, one
+    logaddexp per term index j across all elements.
+    """
+    nb = np.minimum(n1, n2)
+    c = n1 + n2 + l
+    if z == 0.0:
+        return np.ones(nb.shape)
+    if z == 1.0:  # Chu-Vandermonde
+        cv = np.exp(log_fact[c - n2] + log_fact[c - n1] - log_fact[c] - log_fact[c - n1 - n2])
+        return np.where(nb == 0, 1.0, cv)
+    if z < 0.0:  # direct series, all terms positive
+        a, b = n1, n2
+        log_w, log_pre = math.log(-z), 0.0
+    else:  # Pfaff transform on the smaller index
+        a, b = nb, c - np.maximum(n1, n2)
+        log_w, log_pre = math.log(z) - math.log1p(-z), math.log1p(-z)
+    acc = np.zeros(nb.shape)  # the j = 0 term is exactly 1
+    for j in range(1, int(nb.max(initial=0)) + 1):
+        term = (
+            (log_fact[a] - log_fact[np.maximum(a - j, 0)])
+            + (log_fact[b] - log_fact[np.maximum(b - j, 0)])
+            - (log_fact[c] - log_fact[np.maximum(c - j, 0)])
+            - log_fact[j]
+            + j * log_w
+        )
+        acc = np.where(nb >= j, np.logaddexp(acc, term), acc)
+    return np.exp(nb * log_pre + acc)
 
 
 def build_rho1(params, trunc: TruncationSpec) -> JointState:
@@ -305,9 +402,10 @@ def build_rho1(params, trunc: TruncationSpec) -> JointState:
         * (n_b+1-kappa)**n2 * n_b**n1 / (n_b+1)**(n1+n2+l+1)
         * 2F1(-n1, -n2; -(n1+n2+l); 1 - kappa/(n_b (n_b+1-kappa)))
 
-    with p_n the idler pmf; l < 0 follows from symmetry.  Requires n_b > 0
-    (the zero-background limit concentrates the series argument and is
-    rejected rather than approximated).
+    with p_n the idler pmf; l < 0 follows from symmetry.  Each (column c,
+    offset l) position is filled in every block that has it with one array
+    expression.  Requires n_b > 0 (the zero-background limit concentrates
+    the series argument and is rejected rather than approximated).
     """
     if params.n_b == 0.0:
         raise DomainError("build_rho1 requires n_b > 0")
@@ -319,39 +417,28 @@ def build_rho1(params, trunc: TruncationSpec) -> JointState:
     log_nb1 = math.log1p(n_b)
     log_nbk = math.log(n_b + 1.0 - kappa)
     z = 1.0 - kappa / (n_b * (n_b + 1.0 - kappa))
-    lg = math.lgamma
+    lf = gammaln(np.arange(trunc.n_r_max + trunc.n_i_max + 1) + 1.0)  # lf[n] = ln n!
 
-    log_pmf = [
-        _log_thermal_weight(n, n_s) for n in range(trunc.n_i_max + 1)
-    ]
-
-    blocks: Dict[int, np.ndarray] = {}
-    for d in _all_block_ds(trunc):
-        lo, hi = _block_range(d, trunc)
-        size = hi - lo + 1
-        block = np.zeros((size, size))
-        for c, n2 in enumerate(range(lo, hi + 1)):
-            n1 = n2 + d
-            for r in range(c, size):
-                l = r - c
-                if l > 0 and kappa == 0.0:
-                    continue
-                log_elem = (
-                    0.5 * (lg(n1 + 1) + lg(n2 + 1) - lg(n1 + l + 1) - lg(n2 + l + 1))
-                    + 0.5 * (log_pmf[n2 + l] + log_pmf[n2])
-                    + (0.5 * l * log_kappa if l > 0 else 0.0)
-                    + lg(n1 + n2 + l + 1) - lg(n1 + 1) - lg(n2 + 1)
-                    + n2 * log_nbk + n1 * log_nb - (n1 + n2 + l + 1) * log_nb1
-                )
-                if log_elem == -math.inf:
-                    continue
-                elem = math.exp(log_elem) * hypergeom_2f1_terminating(
-                    n1, n2, n1 + n2 + l, z
-                )
-                block[r, c] = elem
-                block[c, r] = elem  # state is real-symmetric
-        blocks[d] = block
-    return JointState(blocks=blocks, trunc=trunc, hypothesis="H1")
+    d, lo, size = _block_layout(trunc)
+    m = trunc.n_i_max + 1
+    log_pmf = _log_thermal_weights(np.arange(m), n_s)
+    stack = np.zeros((d.size, m, m))
+    for c in range(m):
+        for l in range(m - c if kappa > 0.0 else 1):
+            rows = size > c + l
+            n2 = lo[rows] + c
+            n1 = n2 + d[rows]
+            log_elem = (
+                0.5 * (lf[n1] + lf[n2] - lf[n1 + l] - lf[n2 + l])
+                + 0.5 * (log_pmf[n2 + l] + log_pmf[n2])
+                + (0.5 * l * log_kappa if l > 0 else 0.0)
+                + lf[n1 + n2 + l] - lf[n1] - lf[n2]
+                + n2 * log_nbk + n1 * log_nb - (n1 + n2 + l + 1) * log_nb1
+            )
+            elem = np.exp(log_elem) * _hyp2f1_rows(n1, n2, l, z, lf)
+            stack[rows, c + l, c] = elem
+            stack[rows, c, c + l] = elem  # state is real-symmetric
+    return _new_state(stack, trunc, "H1")
 
 
 def moments_check(state: JointState) -> MomentReport:

@@ -51,5 +51,16 @@ def coherent_pair(ref_params):
 
 
 @pytest.fixture(scope="session")
+def nb_pairs(spdc_pair):
+    """SPDC pairs at n_s = kappa = 0.01 for n_b in {1, 20, 100}, keyed by n_b."""
+    pairs = {20.0: spdc_pair}
+    for n_b in (1.0, 100.0):
+        params = ScenarioParams(n_s=0.01, kappa=0.01, n_b=n_b)
+        trunc = TruncationSpec.for_params(params, tail_tol=TAIL)
+        pairs[n_b] = build_rho0(params, trunc), build_rho1(params, trunc)
+    return pairs
+
+
+@pytest.fixture(scope="session")
 def ref_helstrom(spdc_pair):
     return helstrom_single_shot(*spdc_pair)

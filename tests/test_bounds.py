@@ -15,9 +15,11 @@ from qillum import (
     build_rho0,
     build_rho1,
     error_prob_bounds,
+    overlaps,
     q_s,
     qcb,
 )
+from qillum.bounds import _SpectralPair
 from qillum.cli import _coherent_exponent
 
 from conftest import TAIL
@@ -82,6 +84,57 @@ class TestQs:
     def test_rejects_ragged_dense_pair(self):
         with pytest.raises(DomainError):
             q_s(np.eye(3), np.eye(4), 0.5)
+
+
+def q_s_oracle(rho0, rho1, svals):
+    """Q_s from one eigh per block and per state, block by block: a list
+    over svals.  Per-block terms are summed with math.fsum."""
+    if isinstance(rho0, np.ndarray):
+        pairs = [(rho0, rho1)]
+    else:
+        pairs = [(rho0.blocks[d], rho1.blocks[d]) for d in sorted(rho0.blocks)]
+    terms = []
+    for b0, b1 in pairs:
+        w0, u0 = np.linalg.eigh(b0)
+        w1, u1 = np.linalg.eigh(b1)
+        terms.append((np.clip(w0, 0.0, None), np.clip(w1, 0.0, None), (u0.T @ u1) ** 2))
+    return [math.fsum(float(np.power(w0, s) @ m @ np.power(w1, 1.0 - s))
+                      for w0, w1, m in terms) for s in svals]
+
+
+class TestSpectralCacheOracle:
+    """The size-batched spectral cache against the per-block loop."""
+
+    SVALS = np.linspace(0.0, 1.0, 11).tolist()
+
+    def _check(self, rho0, rho1):
+        pair = _SpectralPair(rho0, rho1)
+        for s, want in zip(self.SVALS, q_s_oracle(rho0, rho1, self.SVALS)):
+            assert abs(pair.q_s(s) - want) <= 1e-15
+        return pair
+
+    @pytest.mark.parametrize("n_b", [1.0, 20.0, 100.0])
+    def test_spdc_pairs(self, nb_pairs, n_b):
+        rho0, rho1 = nb_pairs[n_b]
+        pair = self._check(rho0, rho1)
+        assert abs(pair.q_s(0.0) - rho1.trace()) <= 1e-15
+        assert abs(pair.q_s(1.0) - rho0.trace()) <= 1e-15
+        # one batch per block size, and nothing else
+        sizes = {b.shape[0] for b in rho0.blocks.values()}
+        assert sorted(w0.shape[1] for w0, _, _ in pair.terms) == sorted(sizes)
+        assert sum(w0.shape[0] for w0, _, _ in pair.terms) == len(rho0.blocks)
+
+    def test_dense_coherent_pair_is_one_group(self, coherent_pair):
+        pair = self._check(*coherent_pair)
+        assert len(pair.terms) == 1 and pair.terms[0][0].shape[0] == 1
+
+    def test_identical_states(self, spdc_pair):
+        self._check(spdc_pair[0], spdc_pair[0])
+
+    def test_overlaps_share_one_decomposition(self, spdc_pair):
+        q_half, q_min = overlaps(*spdc_pair)
+        assert q_half == q_s(*spdc_pair, 0.5)
+        assert q_min == qcb(*spdc_pair)[1]
 
 
 class TestQcb:

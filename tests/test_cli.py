@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qillum import (
@@ -117,6 +118,28 @@ class TestBoundsCommand:
         assert meta[2] == f"params_digest={digest}"
         assert "n_b=1.0" in meta
         assert sum(1 for line in meta if line.startswith("command=")) == 1
+
+
+class TestBoundsDecomposition:
+    def test_eigh_calls_per_block_size(self, tmp_path, monkeypatch):
+        """A default bounds run decomposes each state once: one batched eigh
+        per distinct block size and state, shared by Q_half and Q_min."""
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        assert main(["bounds", "--out", str(tmp_path)]) == 0
+        params = ScenarioParams(n_s=0.01, kappa=0.01, n_b=20.0)  # the CLI default
+        blocks = build_rho0(params, TruncationSpec.for_params(params, 1e-9)).blocks
+        sizes = {b.shape[0] for b in blocks.values()}
+        assert len(sizes) == 5
+        assert len(shapes) <= 2 * len(sizes)
+        # together the batches cover every block of both states exactly once
+        assert sum(shape[0] for shape in shapes) == 2 * len(blocks)
 
 
 class TestHelstromCommand:

@@ -147,6 +147,128 @@ class TestHypergeometric:
             hypergeom_2f1_terminating(1, 1, 2, math.inf)
 
 
+def _log_thermal_weight(n, mean):
+    if mean == 0.0:
+        return 0.0 if n == 0 else -math.inf
+    return n * math.log(mean) - (n + 1) * math.log1p(mean)
+
+
+def _oracle_block_ds(trunc):
+    for d in range(-trunc.n_i_max, trunc.n_r_max + 1):
+        yield d, max(0, -d), min(trunc.n_i_max, trunc.n_r_max - d)
+
+
+def build_rho0_oracle(params, trunc):
+    """Scalar element-by-element rho0: {d: block}."""
+    blocks = {}
+    for d, lo, hi in _oracle_block_ds(trunc):
+        diag = np.empty(hi - lo + 1)
+        for i, n2 in enumerate(range(lo, hi + 1)):
+            lw = _log_thermal_weight(n2 + d, params.n_b) + _log_thermal_weight(n2, params.n_s)
+            diag[i] = math.exp(lw) if lw > -math.inf else 0.0
+        blocks[d] = np.diag(diag)
+    return blocks
+
+
+def build_rho1_oracle(params, trunc):
+    """Scalar element-by-element rho1 with one hypergeom_2f1_terminating call
+    per element: {d: block}."""
+    n_s, kappa, n_b = params.n_s, params.kappa, params.n_b
+    log_kappa = math.log(kappa) if kappa > 0.0 else -math.inf
+    log_nb, log_nb1 = math.log(n_b), math.log1p(n_b)
+    log_nbk = math.log(n_b + 1.0 - kappa)
+    z = 1.0 - kappa / (n_b * (n_b + 1.0 - kappa))
+    lg = math.lgamma
+    log_pmf = [_log_thermal_weight(n, n_s) for n in range(trunc.n_i_max + 1)]
+    blocks = {}
+    for d, lo, hi in _oracle_block_ds(trunc):
+        size = hi - lo + 1
+        block = np.zeros((size, size))
+        for c, n2 in enumerate(range(lo, hi + 1)):
+            n1 = n2 + d
+            for r in range(c, size):
+                l = r - c
+                if l > 0 and kappa == 0.0:
+                    continue
+                log_elem = (
+                    0.5 * (lg(n1 + 1) + lg(n2 + 1) - lg(n1 + l + 1) - lg(n2 + l + 1))
+                    + 0.5 * (log_pmf[n2 + l] + log_pmf[n2])
+                    + (0.5 * l * log_kappa if l > 0 else 0.0)
+                    + lg(n1 + n2 + l + 1) - lg(n1 + 1) - lg(n2 + 1)
+                    + n2 * log_nbk + n1 * log_nb - (n1 + n2 + l + 1) * log_nb1
+                )
+                if log_elem == -math.inf:
+                    continue
+                elem = math.exp(log_elem) * hypergeom_2f1_terminating(n1, n2, n1 + n2 + l, z)
+                block[r, c] = block[c, r] = elem
+        blocks[d] = block
+    return blocks
+
+
+ORACLE_CASES = {
+    "z<0": (ScenarioParams(0.01, 0.3, 0.1), None),
+    "nb=1": (ScenarioParams(0.01, 0.01, 1.0), None),
+    "nb=20": (ScenarioParams(0.01, 0.01, 20.0), None),
+    "nb=100": (ScenarioParams(0.01, 0.01, 100.0), None),
+    "kappa=0": (ScenarioParams(0.01, 0.0, 20.0), None),
+    "m=1": (ScenarioParams(1e-12, 0.01, 1.0), None),
+    "trunc40x4": (ScenarioParams(0.01, 0.01, 1.0), TruncationSpec(40, 4, 1e-9)),
+}
+
+
+class TestArrayBuildersAgainstScalarOracle:
+    """The array-built stacks against element-by-element scalar builds: same
+    zero pattern, elements within 1e-11 relative."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("which", ["rho0", "rho1"])
+    def test_elements(self, case, which):
+        params, trunc = ORACLE_CASES[case]
+        trunc = trunc or TruncationSpec.for_params(params, tail_tol=TAIL)
+        build, oracle = {"rho0": (build_rho0, build_rho0_oracle),
+                         "rho1": (build_rho1, build_rho1_oracle)}[which]
+        got, want = build(params, trunc).blocks, oracle(params, trunc)
+        assert sorted(got) == sorted(want)
+        for d, block in want.items():
+            assert got[d].shape == block.shape
+            assert np.array_equal(got[d] == 0.0, block == 0.0)
+            nz = block != 0.0
+            assert np.all(np.abs(got[d][nz] - block[nz]) <= 1e-11 * np.abs(block[nz]))
+
+    def test_case_branches(self):
+        """The cases reach every series branch and the one-level idler."""
+        z = {name: 1.0 - p.kappa / (p.n_b * (p.n_b + 1.0 - p.kappa))
+             for name, (p, _) in ORACLE_CASES.items()}
+        assert z["z<0"] < 0.0 < z["nb=1"] < 1.0 and z["kappa=0"] == 1.0
+        assert TruncationSpec.for_params(ORACLE_CASES["m=1"][0], TAIL).n_i_max == 0
+
+
+class TestReadOnlyBlocks:
+    def test_built_blocks_reject_writes(self, spdc_pair):
+        for state in spdc_pair:
+            with pytest.raises(ValueError):
+                state.blocks[0][0, 0] = 1.0
+            assert not state.stack.flags.writeable
+
+    def test_hand_built_blocks_are_copied_and_frozen(self, small_pair):
+        rho0 = small_pair[0]
+        source = {d: b.copy() for d, b in rho0.blocks.items()}
+        state = JointState(blocks=source, trunc=rho0.trunc, hypothesis="H0")
+        source[0][0, 0] = 1.0
+        assert state.blocks[0][0, 0] == rho0.blocks[0][0, 0]
+        with pytest.raises(ValueError):
+            state.blocks[0][0, 0] = 1.0
+
+    def test_hand_built_layout_is_checked(self, small_pair):
+        rho0 = small_pair[0]
+        missing = {d: b for d, b in rho0.blocks.items() if d != 3}
+        with pytest.raises(DomainError):
+            JointState(blocks=missing, trunc=rho0.trunc, hypothesis="H0")
+        wrong = {**rho0.blocks, 0: np.eye(2)}
+        with pytest.raises(DomainError):
+            JointState(blocks=wrong, trunc=rho0.trunc, hypothesis="H0")
+
+
 class TestBuildRho0:
     def test_vacuum_corner_entry(self, spdc_pair):
         rho0, _ = spdc_pair

@@ -501,6 +501,72 @@ def synthetic_orthogonal_pair():
     return rho0, rho1
 
 
+def helstrom_oracle(rho0, rho1):
+    """(pe_single, p01, p10, clamped_mass) from one eigh of rho1 - rho0 per
+    block, summed block by block in d order."""
+    decomps, w_max, clamped = [], 0.0, 0.0
+    for d in sorted(rho0.blocks):
+        b0, b1 = rho0.blocks[d], rho1.blocks[d]
+        w, v = np.linalg.eigh(b1 - b0)
+        decomps.append((w, v, b0, b1))
+        w_max = max(w_max, float(np.abs(w).max()))
+        e0, e1 = np.linalg.eigvalsh(b0), np.linalg.eigvalsh(b1)
+        clamped += float(-e0[e0 < 0.0].sum()) + float(-e1[e1 < 0.0].sum())
+    ztol = max(1e-12 * w_max, 1e-14)
+    gamma_plus = p01 = tr_pi_rho1 = 0.0
+    for w, v, b0, b1 in decomps:
+        pos = w > ztol
+        zero = np.abs(w) <= ztol
+        gamma_plus += float(w[pos].sum()) + 0.5 * float(w[zero].sum())
+        if pos.any():
+            vp = v[:, pos]
+            p01 += float(np.trace(vp.T @ b0 @ vp))
+            tr_pi_rho1 += float(np.trace(vp.T @ b1 @ vp))
+        if zero.any():
+            vz = v[:, zero]
+            p01 += 0.5 * float(np.trace(vz.T @ b0 @ vz))
+            tr_pi_rho1 += 0.5 * float(np.trace(vz.T @ b1 @ vz))
+    return 0.5 * (1.0 - gamma_plus), p01, 1.0 - tr_pi_rho1, clamped
+
+
+class TestHelstromOracle:
+    """Size-batched Helstrom against the per-block loop."""
+
+    def _check(self, rho0, rho1):
+        got = helstrom_single_shot(rho0, rho1)
+        pe, p01, p10, clamped = helstrom_oracle(rho0, rho1)
+        assert abs(got.pe_single - pe) <= 1e-15
+        assert abs(got.p01 - p01) <= 1e-14
+        assert abs(got.p10 - p10) <= 1e-14
+        assert got.clamped_mass == clamped
+
+    @pytest.mark.parametrize("n_b", [1.0, 20.0, 100.0])
+    def test_spdc_pairs(self, nb_pairs, n_b):
+        self._check(*nb_pairs[n_b])
+
+    def test_identical_states(self, spdc_pair):
+        self._check(spdc_pair[0], spdc_pair[0])
+
+    def test_orthogonal_supports(self):
+        self._check(*synthetic_orthogonal_pair())
+
+    def test_leaky_pair_reports_clamped_mass(self, spdc_pair):
+        """Push the tail blocks of rho1 slightly negative: the batched
+        eigvalsh sees the same leakage as the per-block one."""
+        rho0, rho1 = spdc_pair
+        leaky = JointState(
+            blocks={d: b - 1e-13 * np.eye(b.shape[0]) if d > 400 else b
+                    for d, b in rho1.blocks.items()},
+            trunc=rho1.trunc,
+            hypothesis="H1",
+        )
+        got = helstrom_single_shot(rho0, leaky)
+        pe, p01, p10, clamped = helstrom_oracle(rho0, leaky)
+        assert clamped > 0.0
+        assert got.clamped_mass == pytest.approx(clamped, rel=1e-12)
+        assert abs(got.pe_single - pe) <= 1e-15
+
+
 class TestHelstrom:
     def test_reference_frozen_values(self, ref_helstrom):
         assert ref_helstrom.pe_single == pytest.approx(0.49903753839011, rel=1e-8)
