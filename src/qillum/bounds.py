@@ -5,8 +5,11 @@ states are eigendecomposed once, after which every s costs one weighted
 quadratic form per block.  The blocks of the entangled pair are batched by
 size, so each state takes one batched ``eigh`` per distinct block size and
 each Q_s one ``einsum`` per size; a dense single-mode benchmark is the
-one-block case.  Q_s is log-convex in s with Q_0, Q_1 <= 1, so the Chernoff
-minimum is found by golden section, backed by a coarse scan.
+one-block case.  The cached form Q_s = sum_ij M_ij w0_i^s w1_j^(1-s) has
+M >= 0 and clipped w >= 0, so on (0, 1) every nonzero term is log-linear in
+s and the sum is log-convex, hence unimodal: one golden section finds the
+Chernoff minimum.  Zero eigenvalues enter only at s = 0 or 1 (0**0 = 1),
+where they can only raise Q_s, and the search keeps both endpoints.
 
 For K independent mode pairs the minimum error probability is sandwiched by
 
@@ -40,7 +43,6 @@ __all__ = [
 
 _LN10 = math.log(10.0)
 _S_TOL = 1e-4        # bracket width for the Chernoff s-search
-_SCAN_POINTS = 101   # coarse fallback grid over s in [0, 1]
 _FLAT_Q_TOL = 1e-12  # treat 1 - Q below this as "states indistinguishable"
 
 
@@ -87,20 +89,7 @@ class _SpectralPair:
 
     def chernoff(self) -> Tuple[float, float, float]:
         """(s_star, q_min, q_half): the search behind qcb."""
-        s_gs, q_gs = golden_section_min(self.q_s, 0.0, 1.0, _S_TOL)
-
-        grid = np.linspace(0.0, 1.0, _SCAN_POINTS)
-        q_grid = [self.q_s(float(s)) for s in grid]
-        i_min = int(np.argmin(q_grid))
-        s_best, q_best = s_gs, q_gs
-        if q_grid[i_min] < q_best - 1e-12:
-            # unimodality assumption failed; refine around the scan minimum
-            lo = grid[max(i_min - 1, 0)]
-            hi = grid[min(i_min + 1, len(grid) - 1)]
-            s_best, q_best = golden_section_min(self.q_s, float(lo), float(hi), _S_TOL)
-            if q_grid[i_min] < q_best:
-                s_best, q_best = float(grid[i_min]), q_grid[i_min]
-
+        s_best, q_best = golden_section_min(self.q_s, 0.0, 1.0, _S_TOL)
         q_half = self.q_s(0.5)
         if q_half <= q_best:
             s_best, q_best = 0.5, q_half
@@ -127,9 +116,9 @@ def qcb(rho0, rho1) -> Tuple[float, float, float]:
     """Chernoff minimum of Q_s over s in [0, 1].
 
     Returns (s_star, q_min, exponent) with exponent = -ln q_min clamped at
-    zero.  Golden section (assuming the log-convex unimodal profile) is
-    cross-checked against a 101-point scan; if the scan finds a deeper
-    minimum by more than 1e-12 the search is repeated on the scan bracket.
+    zero.  Q_s is log-convex, hence unimodal, on (0, 1), and zero
+    eigenvalues can only raise its endpoint values, so one golden section
+    over [0, 1] with both endpoints as candidates finds the minimum.
     s = 0.5 is always a candidate, so q_min <= Q_half holds exactly.
     Indistinguishable states report s_star = 0.5 by convention.
     """

@@ -53,11 +53,11 @@ from .scenario import (
 
 _LOG10_HALF = math.log10(0.5)
 
-# The Fock Chernoff pass of the entangled pair grows with the return-mode
-# cutoff (one batched eigensolve per block size, then ~130 Q_s evaluations
-# over every block); past this cutoff (n_b around 250 at tail 1e-9) the
-# exponents table skips r_q_numeric until a Gaussian entangled-pair route
-# replaces it.
+# Past this return-mode cutoff (n_b around 250 at tail 1e-9) the exponents
+# table skips r_q_numeric.  Run time is not the reason: the Fock Chernoff
+# exponent carries an untreated truncation bias that grows with n_b (at
+# n_b=1e3 it reads r_q 1.3% above the Gaussian value).  The cap goes when
+# trace normalization or a Gaussian entangled-pair route removes that bias.
 _QCB_CUTOFF_CAP = 5000
 
 _DEFAULT_PARAMS = ScenarioParams(n_s=0.01, kappa=0.01, n_b=20.0)

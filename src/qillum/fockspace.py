@@ -42,8 +42,6 @@ __all__ = [
     "build_displaced_thermal",
 ]
 
-_NEG_EIG_FLOOR = -1e-10  # states must be positive semidefinite up to this
-
 
 def thermal_cutoff(mean: float, tail_tol: float) -> int:
     """Smallest cutoff n such that a thermal state of the given mean has
@@ -297,12 +295,11 @@ class JointState:
         return math.fsum(self.stack.diagonal(axis1=1, axis2=2).ravel().tolist())
 
     def hermiticity_defect(self) -> float:
-        return float(
-            max((np.abs(b - b.T).max() if b.size else 0.0) for b in self.blocks.values())
-        )
+        # the zero padding is symmetric, so it adds only zeros
+        return float(np.abs(self.stack - self.stack.transpose(0, 2, 1)).max())
 
     def min_eigenvalue(self) -> float:
-        return float(min(np.linalg.eigvalsh(b).min() for b in self.blocks.values()))
+        return float(min(np.linalg.eigvalsh(g).min() for g in self.size_groups()))
 
     def to_dense(self) -> np.ndarray:
         """Assemble the full two-mode matrix, index (n1, n2) -> n1*(n_i_max+1)+n2.

@@ -3,9 +3,10 @@
 import math
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_ITER = 200  # bracket shrinks by INVPHI per step; far more than any xtol needs
 
 
-def golden_section_min(f, a, b, xtol, max_iter=200):
+def golden_section_min(f, a, b, xtol):
     """Minimize a unimodal function f on [a, b] to bracket width xtol.
 
     Returns (x_min, f_min).  All evaluated points, including the bracket
@@ -27,7 +28,7 @@ def golden_section_min(f, a, b, xtol, max_iter=200):
         if fx < best_f:
             best_x, best_f = x, fx
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if h <= xtol:
             break
         if fc < fd:

@@ -19,8 +19,9 @@ from qillum import (
     q_s,
     qcb,
 )
-from qillum.bounds import _SpectralPair
+from qillum.bounds import _FLAT_Q_TOL, _S_TOL, _SpectralPair
 from qillum.cli import _coherent_exponent
+from qillum.gss import golden_section_min
 
 from conftest import TAIL
 
@@ -164,6 +165,95 @@ class TestQcb:
     def test_never_above_bhattacharyya(self, coherent_pair):
         _, q_min, _ = qcb(*coherent_pair)
         assert q_min <= q_s(*coherent_pair, 0.5)
+
+
+def chernoff_scan_oracle(pair):
+    """The scan-backed Chernoff search that _SpectralPair.chernoff replaced:
+    golden section, then a 101-point scan of Q_s, and a second golden
+    section around the scan minimum if the scan went more than 1e-12
+    deeper; then the s = 0.5 candidate and the flat-profile rule."""
+    s_best, q_best = golden_section_min(pair.q_s, 0.0, 1.0, _S_TOL)
+    grid = np.linspace(0.0, 1.0, 101)
+    q_grid = [pair.q_s(float(s)) for s in grid]
+    i_min = int(np.argmin(q_grid))
+    if q_grid[i_min] < q_best - 1e-12:
+        lo = grid[max(i_min - 1, 0)]
+        hi = grid[min(i_min + 1, len(grid) - 1)]
+        s_best, q_best = golden_section_min(pair.q_s, float(lo), float(hi), _S_TOL)
+        if q_grid[i_min] < q_best:
+            s_best, q_best = float(grid[i_min]), q_grid[i_min]
+    q_half = pair.q_s(0.5)
+    if q_half <= q_best:
+        s_best, q_best = 0.5, q_half
+    if 1.0 - q_best <= _FLAT_Q_TOL:
+        s_best = 0.5
+    return s_best, q_best, q_half
+
+
+GRID_NB = (0.1, 1.0, 20.0, 100.0)
+GRID_KAPPA = (0.01, 0.3, 1.0)
+
+
+@pytest.fixture(scope="module")
+def grid_pairs(nb_pairs):
+    """SPDC pairs at n_s = 0.01 keyed by (n_b, kappa); kappa = 0.01 reuses nb_pairs."""
+    pairs = {(n_b, 0.01): pair for n_b, pair in nb_pairs.items()}
+    for n_b in GRID_NB:
+        for kappa in GRID_KAPPA:
+            if (n_b, kappa) not in pairs:
+                params = ScenarioParams(n_s=0.01, kappa=kappa, n_b=n_b)
+                trunc = TruncationSpec.for_params(params, tail_tol=TAIL)
+                pairs[n_b, kappa] = build_rho0(params, trunc), build_rho1(params, trunc)
+    return pairs
+
+
+class TestChernoffSearch:
+    """One golden section over [0, 1]: Q_s is log-convex on (0, 1), so the
+    scan-backed search it replaced returns the same (s*, q_min, q_half)."""
+
+    def test_evaluation_count(self, spdc_pair, monkeypatch):
+        calls = [0]
+        q_s_cached = _SpectralPair.q_s
+
+        def counted(self, s):
+            calls[0] += 1
+            return q_s_cached(self, s)
+
+        pair = _SpectralPair(*spdc_pair)
+        monkeypatch.setattr(_SpectralPair, "q_s", counted)
+        pair.chernoff()
+        assert 0 < calls[0] <= 30
+
+    @pytest.mark.parametrize("kappa", GRID_KAPPA)
+    @pytest.mark.parametrize("n_b", GRID_NB)
+    def test_matches_scan_oracle(self, grid_pairs, n_b, kappa):
+        rho0, rho1 = grid_pairs[n_b, kappa]
+        for a, b in ((rho0, rho1), (rho0, rho0), (rho1, rho1)):
+            pair = _SpectralPair(a, b)
+            assert pair.chernoff() == chernoff_scan_oracle(pair)
+
+    @pytest.mark.parametrize("rho0, rho1", [
+        (np.diag([1.0, 0.0]), np.diag([0.5, 0.5])),
+        (np.diag([0.9, 0.1, 0.0]), np.diag([0.0, 0.2, 0.8])),
+    ], ids=["jump_at_0", "jump_at_1"])
+    def test_endpoint_jump_matches_scan_oracle(self, rho0, rho1):
+        # the infimum is a one-sided limit at an endpoint, where 0**0 = 1
+        # lifts Q_s back up to a trace
+        pair = _SpectralPair(rho0, rho1)
+        result = pair.chernoff()
+        assert result == chernoff_scan_oracle(pair)
+        assert 0.0 < min(result[0], 1.0 - result[0]) <= _S_TOL
+
+    def test_coherent_pair_matches_scan_oracle(self, coherent_pair):
+        pair = _SpectralPair(*coherent_pair)
+        assert pair.chernoff() == chernoff_scan_oracle(pair)
+
+    @pytest.mark.parametrize("kappa", [0.01, 0.3])
+    @pytest.mark.parametrize("n_b", [1.0, 20.0, 100.0])
+    def test_log_convex(self, grid_pairs, n_b, kappa):
+        pair = _SpectralPair(*grid_pairs[n_b, kappa])
+        ln_q = np.log([pair.q_s(s) for s in np.linspace(0.02, 0.98, 49).tolist()])
+        assert np.diff(ln_q, 2).min() >= 0.0
 
 
 class TestCoherentClosedForm:
