@@ -17,7 +17,6 @@ from .bounds import (
 )
 from .errors import (
     DomainError,
-    OptimizationError,
     ParseError,
     QIError,
     TruncationError,
@@ -48,7 +47,6 @@ from .receivers import (
     opa_count_pmf,
     opa_error_exact,
     opa_error_gaussian,
-    opa_error_onoff,
     opa_output_means,
     optimize_gain,
     resolve_gain,
@@ -72,7 +70,6 @@ __all__ = [
     "DomainError",
     "ParseError",
     "TruncationError",
-    "OptimizationError",
     # scenario
     "ScenarioParams",
     "ReceiverConfig",
@@ -114,7 +111,6 @@ __all__ = [
     "opa_error_gaussian",
     "optimize_gain",
     "opa_bhattacharyya",
-    "opa_error_onoff",
     "helstrom_single_shot",
     "majority_vote_error",
     "resolve_gain",

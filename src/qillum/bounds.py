@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _LN10 = math.log(10.0)
+_LOG10_HALF = math.log10(0.5)
 _S_TOL = 1e-4        # bracket width for the Chernoff s-search
 _FLAT_Q_TOL = 1e-12  # treat 1 - Q below this as "states indistinguishable"
 
@@ -148,11 +149,15 @@ class BoundTriple:
     log10_upper_bhatt: float
 
     def __post_init__(self):
-        slack = 1e-12
+        # The ordering is checked on the log legs: deep in the tail the linear
+        # legs all underflow to 0.0 and would pass any order.
+        def at_most(a: float, b: float) -> bool:
+            return a <= b + 1e-12 * (1.0 + abs(b))
+
         if not (
-            -slack <= self.lower <= self.upper_qcb + slack
-            and self.upper_qcb <= self.upper_bhatt + slack
-            and self.upper_bhatt <= 0.5 + slack
+            at_most(self.log10_lower, self.log10_upper_qcb)
+            and at_most(self.log10_upper_qcb, self.log10_upper_bhatt)
+            and at_most(self.log10_upper_bhatt, _LOG10_HALF)
         ):
             raise DomainError(
                 "bound ordering violated; inputs are not a physical overlap pair "

@@ -36,7 +36,6 @@ from .receivers import (
     opa_bhattacharyya,
     opa_error_exact,
     opa_error_gaussian,
-    opa_error_onoff,
     optimize_gain,
     resolve_gain,
 )
@@ -129,14 +128,6 @@ def _check_error_curves(columns: Sequence[str], rows: Sequence[Sequence]) -> Non
 
 def _log10_or_inf(p: float) -> float:
     return math.log10(p) if p > 0.0 else float("-inf")
-
-
-def _opa_exact(params: ScenarioParams, gain: float, k: int, receiver: ReceiverConfig) -> float:
-    """Exact OPA error at K=k under the receiver's count model and policy."""
-    if receiver.count_model is CountModel.ON_OFF:
-        return opa_error_onoff(params, gain, k, receiver.threshold_policy)
-    pe, _ = opa_error_exact(params, gain, k, receiver.threshold_policy)
-    return pe
 
 
 # --- configuration ------------------------------------------------------------
@@ -252,9 +243,11 @@ def cmd_bounds(args, params: ScenarioParams, receiver: ReceiverConfig) -> None:
             _, log10_hom = homodyne_error(params, k)
             # the log leg stays finite where the probability underflows
             _, log10_gauss = half_erfc_sqrt(r_opa * k)
+            pe_opa, _ = opa_error_exact(params, gain, k, receiver.threshold_policy,
+                                        receiver.count_model)
             rows.append([k, b_c.log10_lower, b_c.log10_upper_qcb,
                          b_q.log10_lower, b_q.log10_upper_qcb, log10_hom,
-                         _log10_or_inf(_opa_exact(params, gain, k, receiver)), log10_gauss])
+                         _log10_or_inf(pe_opa), log10_gauss])
         _check_error_curves(columns, rows)
 
     _write_csv(out_dir / "bounds.csv", digest, columns, rows)
@@ -291,7 +284,8 @@ def cmd_helstrom(args, params: ScenarioParams, receiver: ReceiverConfig) -> None
                      f"p01={result.p01!r} p10={result.p10!r}")
         rows = []
         for k in ks:
-            pe_opa = _opa_exact(params, gain, k, receiver)
+            pe_opa, _ = opa_error_exact(params, gain, k, receiver.threshold_policy,
+                                        receiver.count_model)
             pe_maj = majority_vote_error(p_flip, p_flip, k, method="exact_binomial")
             pe_clt = majority_vote_error(p_flip, p_flip, k, method="clt")
             rows.append([k] + [_log10_or_inf(pe) for pe in (pe_opa, pe_maj, pe_clt)])

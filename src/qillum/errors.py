@@ -15,7 +15,3 @@ class ParseError(QIError, ValueError):
 
 class TruncationError(QIError):
     """A Fock-space cutoff leaves more tail mass than the tolerance allows."""
-
-
-class OptimizationError(QIError):
-    """A scalar search failed to make progress."""

@@ -8,12 +8,14 @@ hypothesis, with mean photon number
     N1 = G n_s + (G-1)(1 + n_b + kappa n_s)
          + 2 sqrt(G(G-1)) sqrt(kappa n_s (n_s+1))
 
-so deciding between hypotheses reduces to thresholding a total photon
-count whose law over K mode pairs is negative binomial (binomial for a
-click detector).  The count likelihood ratio grows with the count, so the
-error-minimizing threshold is the first count at which it reaches one, a
-closed form evaluated once per K.  Tail probabilities go through the
-regularized incomplete beta function, which keeps far tails accurate in a
+so deciding between hypotheses reduces to thresholding a total count over
+K mode pairs: negative binomial for a photon-number-resolving detector,
+Binomial(K, N/(1+N)) for a click detector.  The count likelihood ratio
+grows with the count, so the error-minimizing threshold is the first count
+at which it reaches one, a closed form evaluated once per K.  Both count
+laws, and the binomial majority vote over single-pair Helstrom decisions,
+have regularized incomplete-beta tails, so one threshold test
+(_threshold_error) serves all three and keeps far tails accurate in a
 relative sense; Gaussian approximations and log-domain variants are
 provided for cross-checks and large K.
 """
@@ -31,6 +33,7 @@ from scipy.special import betainc, gammaln, log_ndtr, ndtr
 from .errors import DomainError
 from .fockspace import JointState
 from .gss import golden_section_min
+from .scenario import GAIN_AUTO, GAIN_BHATT, CountModel, ThresholdPolicy
 
 __all__ = [
     "OpaStatistics",
@@ -45,7 +48,6 @@ __all__ = [
     "opa_error_gaussian",
     "optimize_gain",
     "opa_bhattacharyya",
-    "opa_error_onoff",
     "helstrom_single_shot",
     "majority_vote_error",
     "resolve_gain",
@@ -194,38 +196,6 @@ def opa_count_pmf(n_mean: float, K: int, n) -> np.ndarray:
     return out
 
 
-def _nb_tail_upper(t: int, K: int, n_mean: float) -> float:
-    """P(X >= t) for the K-mode total count at thermal mean n_mean.
-
-    Via P(X >= t) = I_{N/(1+N)}(t, K); betainc evaluates the incomplete
-    beta directly on the tail, so tiny values keep relative accuracy.
-    """
-    if t < 1:
-        return 1.0
-    if n_mean == 0.0:
-        return 0.0
-    return float(betainc(float(t), float(K), n_mean / (1.0 + n_mean)))
-
-
-def _nb_tail_lower(t: int, K: int, n_mean: float) -> float:
-    """P(X < t) = P(X <= t-1) = I_{1/(1+N)}(K, t)."""
-    if t < 1:
-        return 0.0
-    if n_mean == 0.0:
-        return 1.0
-    return float(betainc(float(K), float(t), 1.0 / (1.0 + n_mean)))
-
-
-def _crossing_threshold(stats: OpaStatistics, K: int) -> int:
-    """Gaussian crossing point of the two count laws, rounded up."""
-    crossing = (
-        K
-        * (stats.sigma1 * stats.n0 + stats.sigma0 * stats.n1)
-        / (stats.sigma0 + stats.sigma1)
-    )
-    return int(math.ceil(crossing))
-
-
 def _lr_threshold(n0: float, n1: float, K: int, clicks: bool) -> int:
     """First count at which target-present is at least as likely as absent.
 
@@ -252,30 +222,69 @@ def _lr_threshold(n0: float, n1: float, K: int, clicks: bool) -> int:
     return int(ratio.to_integral_value(rounding=ROUND_CEILING))
 
 
-def opa_error_exact(params, G: float, K: int, policy) -> Tuple[float, DecisionRule]:
+def _threshold_error(t: int, K: int, x0: float, y1: float, clicks: bool) -> float:
+    """Equal-prior error (P0(X >= t) + P1(X < t)) / 2 of the test X >= t.
+
+    Both count laws have incomplete-beta tails.  With x = N/(1+N) for a
+    thermal mode of mean N, or the per-trial probability p of a binomial
+    count, and y = 1 - x:
+
+        photon counts (negative binomial):  P(X >= t) = I_x(t, K),
+                                            P(X < t)  = I_y(K, t)
+        clicks or votes, Binomial(K, p):    P(X >= t) = I_p(t, K-t+1),
+                                            P(X < t)  = I_y(K-t+1, t)
+
+    x0 is x (or p) under H0 and y1 is y under H1.  Callers pass y1 in the
+    form they compute it (1/(1+N1) for counts, 1 - q1 for clicks), since
+    the forms differ in the last bit.  betainc evaluates the incomplete
+    beta directly on each tail, so tiny values keep relative accuracy.
+    """
+    if t < 1:
+        return 0.5  # always decide target-present
+    if clicks and t > K:
+        return 0.5  # never decide target-present
+    b = K - t + 1.0 if clicks else float(K)
+    upper = 0.0 if x0 == 0.0 else float(betainc(float(t), b, x0))
+    lower = 0.0 if y1 == 0.0 else float(betainc(b, float(t), y1))
+    return 0.5 * (upper + lower)
+
+
+def opa_error_exact(
+    params, G: float, K: int, policy, count_model=CountModel.FULL_COUNTING
+) -> Tuple[float, DecisionRule]:
     """Exact threshold-test error of the OPA receiver over K mode pairs.
 
-    policy 'paper_formula' uses the Gaussian crossing threshold;
-    'optimal_scan' uses the exact likelihood-ratio threshold, which
-    minimizes the error over all integer thresholds (the lowest minimizer
-    on a tie).  kappa = 0 makes both count laws identical; that case
-    returns 1/2 with a degenerate rule instead of pretending to decide.
+    count_model 'full_counting' thresholds the negative-binomial photon
+    count; 'on_off' thresholds the Binomial(K, N/(1+N)) click count.
+    policy 'paper_formula' uses the Gaussian crossing threshold of the
+    count law, from its per-mode mean and deviation; 'optimal_scan' uses
+    the exact likelihood-ratio threshold, which minimizes the error over
+    all integer thresholds (the lowest minimizer on a tie).  Returns the
+    error and the rule.  kappa = 0 makes both count laws identical; that
+    case returns 1/2 with a degenerate rule instead of pretending to decide.
     """
-    from .scenario import ThresholdPolicy
-
     if K < 1:
         raise DomainError(f"K must be >= 1, got {K}")
     policy = ThresholdPolicy(policy)
+    clicks = CountModel(count_model) is CountModel.ON_OFF
     stats = opa_output_means(params, G)
     if stats.n1 == stats.n0:
         return 0.5, DecisionRule(threshold=0, degenerate=True)
+    # per-mode mean and deviation of the count law, and its tail arguments
+    q0 = stats.n0 / (1.0 + stats.n0)
+    if clicks:
+        q1 = stats.n1 / (1.0 + stats.n1)
+        m0, m1, y1 = q0, q1, 1.0 - q1
+        s0, s1 = math.sqrt(q0 * (1.0 - q0)), math.sqrt(q1 * (1.0 - q1))
+    else:
+        m0, m1, y1 = stats.n0, stats.n1, 1.0 / (1.0 + stats.n1)
+        s0, s1 = stats.sigma0, stats.sigma1
 
     if policy is ThresholdPolicy.PAPER_FORMULA:
-        t = _crossing_threshold(stats, K)
+        t = int(math.ceil(K * (s1 * m0 + s0 * m1) / (s0 + s1)))
     else:
-        t = _lr_threshold(stats.n0, stats.n1, K, clicks=False)
-    pe = 0.5 * (_nb_tail_upper(t, K, stats.n0) + _nb_tail_lower(t, K, stats.n1))
-    return pe, DecisionRule(threshold=t)
+        t = _lr_threshold(stats.n0, stats.n1, K, clicks)
+    return _threshold_error(t, K, q0, y1, clicks), DecisionRule(threshold=t)
 
 
 def opa_error_gaussian(params, G: float, K: int) -> Tuple[float, float]:
@@ -341,54 +350,6 @@ def opa_bhattacharyya(params, G: float) -> Tuple[float, float, float]:
         )
     )
     return q_b, r_b_exact, r_b_small
-
-
-def _binom_tail_upper(t: int, K: int, q: float) -> float:
-    """P(clicks >= t) for clicks ~ Binomial(K, q)."""
-    if t < 1:
-        return 1.0
-    if t > K or q == 0.0:
-        return 0.0
-    return float(betainc(float(t), K - t + 1.0, q))
-
-
-def _binom_tail_lower(t: int, K: int, q: float) -> float:
-    """P(clicks < t) = P(clicks <= t-1) for clicks ~ Binomial(K, q)."""
-    if t < 1:
-        return 0.0
-    if t > K:
-        return 1.0
-    if q == 1.0:
-        return 0.0
-    return float(betainc(K - t + 1.0, float(t), 1.0 - q))
-
-
-def opa_error_onoff(params, G: float, K: int, policy) -> float:
-    """OPA receiver error with a click / no-click detector per mode.
-
-    Each output mode clicks with probability q_m = N_m / (1 + N_m), the
-    total click count is Binomial(K, q_m), and the decision thresholds it:
-    at the Gaussian crossing point for 'paper_formula', at the exact
-    likelihood-ratio threshold for 'optimal_scan'.
-    """
-    from .scenario import ThresholdPolicy
-
-    if K < 1:
-        raise DomainError(f"K must be >= 1, got {K}")
-    policy = ThresholdPolicy(policy)
-    stats = opa_output_means(params, G)
-    if stats.n1 == stats.n0:
-        return 0.5
-    q0 = stats.n0 / (1.0 + stats.n0)
-    q1 = stats.n1 / (1.0 + stats.n1)
-
-    if policy is ThresholdPolicy.PAPER_FORMULA:
-        s0 = math.sqrt(q0 * (1.0 - q0))
-        s1 = math.sqrt(q1 * (1.0 - q1))
-        t = int(math.ceil(K * (s1 * q0 + s0 * q1) / (s0 + s1)))
-    else:
-        t = _lr_threshold(stats.n0, stats.n1, K, clicks=True)
-    return 0.5 * (_binom_tail_upper(t, K, q0) + _binom_tail_lower(t, K, q1))
 
 
 # --- optimal joint measurement ----------------------------------------------
@@ -475,7 +436,7 @@ def majority_vote_error(p01: float, p10: float, K: int, method: str = "exact_bin
     t = K // 2 + 1  # smallest winning vote count for target-present
 
     if method == "exact_binomial":
-        return 0.5 * (_binom_tail_upper(t, K, p01) + _binom_tail_lower(t, K, 1.0 - p10))
+        return _threshold_error(t, K, p01, 1.0 - (1.0 - p10), clicks=True)
     if method == "clt":
         if p01 == 0.0:
             err0 = 0.0
@@ -498,8 +459,6 @@ def resolve_gain(params, gain_spec) -> Tuple[Optional[float], str]:
     Returns (G, note).  G is None when the optimization is degenerate
     (kappa = 0), in which case every OPA quantity collapses to chance.
     """
-    from .scenario import GAIN_AUTO, GAIN_BHATT
-
     if isinstance(gain_spec, str):
         if gain_spec == GAIN_AUTO:
             opt = optimize_gain(params)

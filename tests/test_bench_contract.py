@@ -1,0 +1,47 @@
+"""The benchmark's per-layer metrics name library functions; keep those names.
+
+bench/tracing.py wraps every public function of the layer modules and
+reports ``<layer>.<function>.{s,calls}`` per layer.  A renamed or deleted
+function would read 0 there without any error, so each such name in
+BENCHMARK.json must resolve to a public function of ``qillum.<layer>``.
+The kernels the tracer patches by name must exist where it looks for them.
+"""
+
+import importlib
+import inspect
+import json
+from pathlib import Path
+
+import pytest
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+KERNELS = {"eigh", "eigvalsh", "expm", "betainc"}
+
+
+def layer_functions():
+    metrics = json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]
+    names = set()
+    for metric in metrics:
+        parts = metric["name"].split(".")
+        if len(parts) == 3 and parts[2] in ("s", "calls") and parts[1] not in KERNELS:
+            names.add((parts[0], parts[1]))
+    return sorted(names)
+
+
+def test_contract_names_some_functions():
+    assert len(layer_functions()) >= 10
+
+
+@pytest.mark.parametrize("layer,name", layer_functions(),
+                         ids=[f"{layer}.{name}" for layer, name in layer_functions()])
+def test_metric_names_a_public_function(layer, name):
+    module = importlib.import_module(f"qillum.{layer}")
+    fn = getattr(module, name, None)
+    assert inspect.isfunction(fn), f"qillum.{layer} has no function {name!r}"
+    assert fn.__module__ == module.__name__, f"{name!r} is not defined in {module.__name__}"
+    assert not name.startswith("_")
+
+
+@pytest.mark.parametrize("layer,kernel", [("fockspace", "expm"), ("receivers", "betainc")])
+def test_patched_kernel_exists(layer, kernel):
+    assert callable(getattr(importlib.import_module(f"qillum.{layer}"), kernel, None))

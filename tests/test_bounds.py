@@ -353,6 +353,33 @@ class TestErrorProbBounds:
                 log10_upper_bhatt=math.log10(0.25),
             )
 
+    @pytest.mark.parametrize("logs", [(-400.0, -500.0, -450.0),   # lower > upper_qcb
+                                      (-500.0, -400.0, -450.0),   # upper_qcb > upper_bhatt
+                                      (-500.0, -450.0, -0.1)],    # upper_bhatt > 1/2
+                             ids=["lower", "upper_qcb", "upper_bhatt"])
+    def test_ordering_checked_on_log_legs_past_underflow(self, logs):
+        """At large K every linear leg underflows to 0.0; the log legs keep
+        the order, so an out-of-order triple there must still be rejected."""
+        with pytest.raises(DomainError):
+            BoundTriple(
+                lower=0.0,
+                upper_qcb=0.0,
+                upper_bhatt=0.0,
+                log10_lower=logs[0],
+                log10_upper_qcb=logs[1],
+                log10_upper_bhatt=logs[2],
+            )
+
+    def test_unphysical_pair_rejected_past_underflow(self):
+        # q_half**2 > q_qcb again, at a K where every linear leg is 0.0
+        with pytest.raises(DomainError):
+            error_prob_bounds(0.99, 0.98, 10**8)
+
+    def test_underflowed_linear_legs_accepted_in_order(self):
+        b = error_prob_bounds(0.99, 0.985, 10**8)
+        assert b.lower == b.upper_qcb == b.upper_bhatt == 0.0
+        assert b.log10_lower < b.log10_upper_qcb < b.log10_upper_bhatt < -300.0
+
 
 class TestAsymptoticExponents:
     def test_reference_closed_forms(self, ref_params):

@@ -18,7 +18,6 @@ from qillum import (
     majority_vote_error,
     opa_error_exact,
     opa_error_gaussian,
-    opa_error_onoff,
     optimize_gain,
 )
 from qillum.cli import _check_error_curves, _coherent_exponent, main
@@ -202,7 +201,8 @@ class TestCountModel:
         _, _, rows = self.run(tmp_path, command, "on_off")
         _, _, full_rows = self.run(tmp_path, command, "full_counting")
         for row, full_row in zip(rows, full_rows):
-            pe = opa_error_onoff(params, 1.005, int(row[0]), "optimal_scan")
+            pe = opa_error_exact(params, 1.005, int(row[0]), "optimal_scan",
+                                 count_model="on_off")[0]
             assert row[col] == repr(math.log10(pe))
             assert row[col] != full_row[col]
             assert row[:col] + row[col + 1:] == full_row[:col] + full_row[col + 1:]

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import betainc
 
 from qillum import (
+    CountModel,
     DomainError,
     ScenarioParams,
     TruncationSpec,
@@ -21,7 +22,6 @@ from qillum import (
     opa_count_pmf,
     opa_error_exact,
     opa_error_gaussian,
-    opa_error_onoff,
     opa_output_means,
     optimize_gain,
     q_s,
@@ -264,6 +264,16 @@ class TestOpaErrorExact:
         with pytest.raises(ValueError):
             opa_error_exact(REF, G_REF, 1, "grid_search")
 
+    @pytest.mark.parametrize("model", list(CountModel))
+    def test_count_model_enum_or_string(self, model):
+        for k in (1, 10**3, 10**6):
+            by_enum = opa_error_exact(REF, G_REF, k, "optimal_scan", count_model=model)
+            assert by_enum == opa_error_exact(REF, G_REF, k, "optimal_scan", model.value)
+
+    def test_rejects_unknown_count_model(self):
+        with pytest.raises(ValueError):
+            opa_error_exact(REF, G_REF, 1, "optimal_scan", count_model="analog")
+
 
 class TestLikelihoodRatioThreshold:
     """optimal_scan's closed-form threshold against the brute-force scan and
@@ -279,7 +289,9 @@ class TestLikelihoodRatioThreshold:
         t_scan, pe_scan = scan_click_threshold(stats, K)
         if pe_scan > 0.0:
             assert _lr_threshold(stats.n0, stats.n1, K, clicks=True) == t_scan
-            assert opa_error_onoff(params, G, K, "optimal_scan") == pe_scan
+            pe, rule = opa_error_exact(params, G, K, "optimal_scan", count_model="on_off")
+            assert rule.threshold == t_scan
+            assert pe == pe_scan
 
     @pytest.mark.parametrize("k", [1, 2, 3, 10, 10**3, 10**6])
     def test_matches_scan_at_reference(self, k):
@@ -318,8 +330,8 @@ class TestLikelihoodRatioThreshold:
     def test_numpy_integer_copies(self):
         pe, rule = opa_error_exact(REF, G_REF, np.int64(1000), "optimal_scan")
         assert (pe, rule) == opa_error_exact(REF, G_REF, 1000, "optimal_scan")
-        assert opa_error_onoff(REF, G_REF, np.int64(1000), "optimal_scan") == \
-            opa_error_onoff(REF, G_REF, 1000, "optimal_scan")
+        assert opa_error_exact(REF, G_REF, np.int64(1000), "optimal_scan", "on_off") == \
+            opa_error_exact(REF, G_REF, 1000, "optimal_scan", "on_off")
 
     def test_rule_is_the_bayes_threshold_where_the_scan_underflows(self):
         """Deep in the tail every threshold's error underflows to 0.0, so a
@@ -462,14 +474,17 @@ class TestOpaBhattacharyya:
 
 class TestOpaErrorOnoff:
     def test_kappa_zero(self):
-        assert opa_error_onoff(ScenarioParams(0.01, 0.0, 20.0), G_REF, 9, "optimal_scan") == 0.5
+        pe, rule = opa_error_exact(ScenarioParams(0.01, 0.0, 20.0), G_REF, 9, "optimal_scan",
+                                   count_model="on_off")
+        assert pe == 0.5
+        assert rule.degenerate
 
     def test_k_one_click_enumeration(self):
         st = opa_output_means(REF, G_REF)
         q0 = st.n0 / (1.0 + st.n0)
         q1 = st.n1 / (1.0 + st.n1)
         candidates = {0: 0.5, 1: 0.5 * (q0 + 1.0 - q1), 2: 0.5 * 1.0}
-        pe = opa_error_onoff(REF, G_REF, 1, "optimal_scan")
+        pe = opa_error_exact(REF, G_REF, 1, "optimal_scan", count_model="on_off")[0]
         assert pe == pytest.approx(min(candidates.values()), rel=1e-12)
         assert min(candidates, key=candidates.get) == 1
 
@@ -477,7 +492,7 @@ class TestOpaErrorOnoff:
         """A click detector keeps 92% of the full-counting exponent at
         K=1e6; the often-quoted 5% figure is not met at this depth."""
         k = 10**6
-        pe_oo = opa_error_onoff(REF, G_REF, k, "optimal_scan")
+        pe_oo = opa_error_exact(REF, G_REF, k, "optimal_scan", count_model="on_off")[0]
         pe_full, _ = opa_error_exact(REF, G_REF, k, "optimal_scan")
         assert pe_oo == pytest.approx(0.030240238497112343, rel=1e-9)
         ratio = math.log(2.0 * pe_oo) / math.log(2.0 * pe_full)
