@@ -23,14 +23,10 @@ from .errors import (
 )
 from .fockspace import (
     JointState,
-    MomentReport,
     TruncationSpec,
     build_displaced_thermal,
     build_rho0,
     build_rho1,
-    hypergeom_2f1_terminating,
-    idler_photon_pmf,
-    moments_check,
     thermal_cutoff,
     thermal_state,
 )
@@ -44,7 +40,6 @@ from .receivers import (
     homodyne_error,
     majority_vote_error,
     opa_bhattacharyya,
-    opa_count_pmf,
     opa_error_exact,
     opa_error_gaussian,
     opa_output_means,
@@ -58,7 +53,6 @@ from .scenario import (
     ThresholdPolicy,
     parse_config,
     render_config,
-    validate_params,
 )
 
 __version__ = "0.1.0"
@@ -75,19 +69,14 @@ __all__ = [
     "ReceiverConfig",
     "ThresholdPolicy",
     "CountModel",
-    "validate_params",
     "parse_config",
     "render_config",
     # fockspace
     "TruncationSpec",
     "JointState",
-    "MomentReport",
     "thermal_cutoff",
-    "idler_photon_pmf",
-    "hypergeom_2f1_terminating",
     "build_rho0",
     "build_rho1",
-    "moments_check",
     "thermal_state",
     "build_displaced_thermal",
     # bounds
@@ -106,7 +95,6 @@ __all__ = [
     "half_erfc_sqrt",
     "homodyne_error",
     "opa_output_means",
-    "opa_count_pmf",
     "opa_error_exact",
     "opa_error_gaussian",
     "optimize_gain",

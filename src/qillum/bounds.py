@@ -206,8 +206,8 @@ def error_prob_bounds(q_half: float, q_qcb: float, K: int) -> BoundTriple:
 class ExponentReport:
     """Error exponents of one scenario.
 
-    The closed-form fields hold in the weak-signal / bright-background
-    regime (regime_ok reports whether the scenario sits there):
+    The closed forms hold in the weak-signal / bright-background regime
+    (ScenarioParams.regime_ok reports whether the scenario sits there):
 
         r_q      = kappa n_s / n_b          entangled transmitter, optimal measurement
         r_c      = kappa n_s / (4 n_b)      coherent transmitter, optimal measurement
@@ -217,7 +217,6 @@ class ExponentReport:
     r_q: float
     r_c: float
     r_c_hom: float
-    regime_ok: bool
 
     def __post_init__(self):
         for name in ("r_q", "r_c", "r_c_hom"):
@@ -235,5 +234,4 @@ def asymptotic_exponents(params) -> ExponentReport:
         r_q=kns / params.n_b,
         r_c=kns / (4.0 * params.n_b),
         r_c_hom=kns / (4.0 * params.n_b + 2.0),
-        regime_ok=params.regime_ok,
     )

@@ -333,10 +333,11 @@ def cmd_exponents(args, params: ScenarioParams, receiver: ReceiverConfig) -> Non
         r_opa: Optional[float] = 0.0
         r_b_exact: Optional[float] = 0.0
     else:
-        opt = optimize_gain(params)
+        # under gain=auto resolve_gain already ran the search
+        g_star = gain if receiver.gain == GAIN_AUTO else optimize_gain(params).g_star
         _, r_opa = opa_error_gaussian(params, gain, 1)
         _, r_b_exact, r_b_small = opa_bhattacharyya(params, gain)
-        rows.append(("g_star", opt.g_star, "argmax of r_opa"))
+        rows.append(("g_star", g_star, "argmax of r_opa"))
         rows.append(("r_opa", r_opa, f"at G={gain!r}"))
         rows.append(("r_b_exact", r_b_exact, "-ln Q_B"))
         rows.append(("r_b_small_gain", r_b_small, "series form"))

@@ -31,13 +31,9 @@ from .errors import DomainError, TruncationError
 __all__ = [
     "TruncationSpec",
     "JointState",
-    "MomentReport",
     "thermal_cutoff",
-    "idler_photon_pmf",
-    "hypergeom_2f1_terminating",
     "build_rho0",
     "build_rho1",
-    "moments_check",
     "thermal_state",
     "build_displaced_thermal",
 ]
@@ -103,19 +99,6 @@ class TruncationSpec:
                 )
 
 
-def idler_photon_pmf(n_s: float, n: int) -> float:
-    """Photon-number distribution of the retained idler: n_s**n / (n_s+1)**(n+1)."""
-    if n_s < 0.0:
-        raise DomainError(f"n_s must be >= 0, got {n_s}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 1.0 / (1.0 + n_s)
-    if n_s == 0.0:
-        return 0.0
-    return math.exp(n * math.log(n_s) - (n + 1) * math.log1p(n_s))
-
-
 def _log_thermal_weights(n: np.ndarray, mean: float) -> np.ndarray:
     """log of mean**n / (mean+1)**(n+1) elementwise; -inf where mean == 0 and n > 0."""
     if mean == 0.0:
@@ -123,104 +106,11 @@ def _log_thermal_weights(n: np.ndarray, mean: float) -> np.ndarray:
     return n * math.log(mean) - (n + 1) * math.log1p(mean)
 
 
-# --- terminating Gauss hypergeometric -------------------------------------
-
-def _logsumexp_pos(logs) -> float:
-    """log(sum(exp(l))) for a short list of finite-or--inf logs of positives."""
-    m = max(logs)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(sum(math.exp(v - m) for v in logs))
-
-
-def _hyp2f1_chu_vandermonde(n1: int, n2: int, c_mag: int) -> float:
-    # 2F1(-n1, -n2; -c; 1) = (c - n2)! (c - n1)! / (c! (c - n1 - n2)!)
-    lg = math.lgamma
-    return math.exp(
-        lg(c_mag - n2 + 1) + lg(c_mag - n1 + 1) - lg(c_mag + 1) - lg(c_mag - n1 - n2 + 1)
-    )
-
-
-def hypergeom_2f1_terminating(n1: int, n2: int, c_mag: int, z: float) -> float:
-    """Gauss series 2F1(-n1, -n2; -c_mag; z) for integers n1, n2 >= 0.
-
-    The sum terminates after min(n1, n2) + 1 terms.  Requires
-    c_mag >= n1 + n2 so no denominator Pochhammer vanishes early.
-
-    For 0 < z < 1 the direct series alternates and can cancel many digits,
-    so it is rerouted through the Pfaff transform
-    2F1(-n1,-n2;-c;z) = (1-z)**nb * 2F1(-nb, -(c-na); -c; z/(z-1))
-    (na, nb the larger/smaller of n1, n2), whose terms are all positive and
-    are accumulated as a log-sum-exp.  z == 1 uses the Chu-Vandermonde
-    closed form.  Negative z makes the direct series positive term by term.
-    z > 1 is rejected: there the series alternates without a positive
-    rewrite, and build_rho1 never asks for it (its z = 1 - kappa/(n_b
-    (n_b + 1 - kappa)) stays at or below 1).
-
-    build_rho1 evaluates the same branches on whole arrays
-    (``_hyp2f1_rows``); this scalar form is the reference it is tested
-    against.
-    """
-    for name, v in (("n1", n1), ("n2", n2), ("c_mag", c_mag)):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0:
-            raise DomainError(f"{name} must be a non-negative integer, got {v!r}")
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got {z}")
-    if z > 1.0:
-        raise DomainError(f"z must be <= 1, got {z}")
-    if c_mag < n1 + n2:
-        raise DomainError(
-            f"need c_mag >= n1 + n2 for a well-defined terminating series, "
-            f"got c_mag={c_mag}, n1+n2={n1 + n2}"
-        )
-    if min(n1, n2) == 0 or z == 0.0:
-        return 1.0
-    if z == 1.0:
-        return _hyp2f1_chu_vandermonde(n1, n2, c_mag)
-
-    lg = math.lgamma
-    if 0.0 < z < 1.0:
-        # Pfaff transform on the smaller index: positive terms only.
-        na, nb = (n1, n2) if n1 >= n2 else (n2, n1)
-        m = c_mag - na  # second falling index; m >= nb by the c_mag check
-        logw = math.log(z) - math.log1p(-z)  # log|z/(z-1)|
-        logs = []
-        for j in range(nb + 1):
-            logs.append(
-                (lg(nb + 1) - lg(nb - j + 1))
-                + (lg(m + 1) - lg(m - j + 1))
-                - (lg(c_mag + 1) - lg(c_mag - j + 1))
-                - lg(j + 1)
-                + j * logw
-            )
-        return math.exp(nb * math.log1p(-z) + _logsumexp_pos(logs))
-
-    # z < 0: direct series; (-1)^j from the Pochhammers cancels sign(z)^j
-    logz = math.log(-z)
-    logs = []
-    for j in range(min(n1, n2) + 1):
-        logs.append(
-            (lg(n1 + 1) - lg(n1 - j + 1))
-            + (lg(n2 + 1) - lg(n2 - j + 1))
-            - (lg(c_mag + 1) - lg(c_mag - j + 1))
-            - lg(j + 1)
-            + j * logz
-        )
-    return math.exp(_logsumexp_pos(logs))
-
-
 # --- joint states ----------------------------------------------------------
 
-def _block_range(d: int, trunc: TruncationSpec) -> Tuple[int, int]:
-    """Inclusive idler-number range (lo, hi) of block d."""
-    lo = max(0, -d)
-    hi = min(trunc.n_i_max, trunc.n_r_max - d)
-    return lo, hi
-
-
 def _block_layout(trunc: TruncationSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d, lo, size) for every block, indexed by stack position k = d + n_i_max:
-    the array form of _block_range."""
+    """(d, lo, size) for every block, indexed by stack position k = d + n_i_max;
+    block d covers idler numbers lo .. lo + size - 1."""
     d = np.arange(-trunc.n_i_max, trunc.n_r_max + 1)
     lo = np.maximum(0, -d)
     size = np.minimum(trunc.n_i_max, trunc.n_r_max - d) - lo + 1
@@ -272,12 +162,6 @@ class JointState:
             object.__setattr__(self, "stack", stack)
             object.__setattr__(self, "blocks", _block_views(stack, self.trunc))
 
-    def block_basis(self, d: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(return numbers, idler numbers) labeling the rows of blocks[d]."""
-        lo, hi = _block_range(d, self.trunc)
-        n2 = np.arange(lo, hi + 1)
-        return n2 + d, n2
-
     def size_groups(self) -> List[np.ndarray]:
         """The blocks batched by size: one (count, size, size) array per
         distinct block size, in increasing size.  Padding never enters.  A
@@ -293,44 +177,6 @@ class JointState:
 
     def trace(self) -> float:
         return math.fsum(self.stack.diagonal(axis1=1, axis2=2).ravel().tolist())
-
-    def hermiticity_defect(self) -> float:
-        # the zero padding is symmetric, so it adds only zeros
-        return float(np.abs(self.stack - self.stack.transpose(0, 2, 1)).max())
-
-    def min_eigenvalue(self) -> float:
-        return float(min(np.linalg.eigvalsh(g).min() for g in self.size_groups()))
-
-    def to_dense(self) -> np.ndarray:
-        """Assemble the full two-mode matrix, index (n1, n2) -> n1*(n_i_max+1)+n2.
-
-        For oracle comparisons and debugging only; the block form is the
-        working representation.
-        """
-        ni = self.trunc.n_i_max + 1
-        dim = (self.trunc.n_r_max + 1) * ni
-        out = np.zeros((dim, dim))
-        for d, block in self.blocks.items():
-            n1s, n2s = self.block_basis(d)
-            idx = n1s * ni + n2s
-            out[np.ix_(idx, idx)] = block
-        return out
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """First moments of a joint state: mode occupations and the magnitude
-    of the phase-sensitive cross correlation <a_R a_I>."""
-
-    mean_n_r: float
-    mean_n_i: float
-    cross_corr: float
-
-    def __post_init__(self):
-        for name in ("mean_n_r", "mean_n_i", "cross_corr"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise DomainError(f"{name} must be finite and >= 0, got {v}")
 
 
 def _new_state(stack: np.ndarray, trunc: TruncationSpec, hypothesis: str) -> JointState:
@@ -356,11 +202,17 @@ def build_rho0(params, trunc: TruncationSpec) -> JointState:
 
 def _hyp2f1_rows(n1: np.ndarray, n2: np.ndarray, l: int, z: float,
                  log_fact: np.ndarray) -> np.ndarray:
-    """hypergeom_2f1_terminating(n1, n2, n1 + n2 + l, z) elementwise over
-    index arrays, with the same branches; log_fact[n] = ln n!.
+    """Terminating Gauss series 2F1(-n1, -n2; -(n1 + n2 + l); z) elementwise
+    over index arrays; log_fact[n] = ln n!.
 
-    The at most n_i_max + 1 series terms are summed in log form, one
-    logaddexp per term index j across all elements.
+    For 0 < z < 1 the direct series alternates and can cancel many digits,
+    so it goes through the Pfaff transform on the smaller index, whose terms
+    are all positive; z = 1 is the Chu-Vandermonde closed form, and z < 0
+    makes the direct series positive term by term.  build_rho1 never asks
+    for z > 1.  The at most n_i_max + 1 series terms are summed in log form,
+    one logaddexp per term index j across all elements.  The scalar
+    reference it is tested against, hypergeom_2f1_terminating, lives in
+    tests/oracles.py.
     """
     nb = np.minimum(n1, n2)
     c = n1 + n2 + l
@@ -436,32 +288,6 @@ def build_rho1(params, trunc: TruncationSpec) -> JointState:
             stack[rows, c + l, c] = elem
             stack[rows, c, c + l] = elem  # state is real-symmetric
     return _new_state(stack, trunc, "H1")
-
-
-def moments_check(state: JointState) -> MomentReport:
-    """Read occupations and |<a_R a_I>| straight off the block elements.
-
-    Independent of how the state was built, so it doubles as a consistency
-    probe of the element formulas against the known covariance.
-    """
-    tr = state.trace()
-    if tr < 0.999:
-        raise DomainError(f"state trace {tr:.6f} too small for a moment check")
-    mean_r = 0.0
-    mean_i = 0.0
-    cross = 0.0
-    for d, block in state.blocks.items():
-        n1s, n2s = state.block_basis(d)
-        diag = np.diag(block)
-        mean_r += float(diag @ n1s)
-        mean_i += float(diag @ n2s)
-        # <a_R a_I> picks up the first subdiagonal: <n1+1, n2+1| rho |n1, n2>
-        if block.shape[0] > 1:
-            sub = np.diag(block, -1)
-            cross += float(
-                np.sum(sub * np.sqrt((n1s[:-1] + 1.0) * (n2s[:-1] + 1.0)))
-            )
-    return MomentReport(mean_n_r=mean_r, mean_n_i=mean_i, cross_corr=abs(cross))
 
 
 # --- single-mode states for the classical benchmark -------------------------

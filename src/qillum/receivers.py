@@ -28,7 +28,7 @@ from decimal import ROUND_CEILING, Context, Decimal
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import betainc, gammaln, log_ndtr, ndtr
+from scipy.special import betainc, log_ndtr, ndtr
 
 from .errors import DomainError
 from .fockspace import JointState
@@ -43,7 +43,6 @@ __all__ = [
     "half_erfc_sqrt",
     "homodyne_error",
     "opa_output_means",
-    "opa_count_pmf",
     "opa_error_exact",
     "opa_error_gaussian",
     "optimize_gain",
@@ -58,6 +57,7 @@ _LR_CONTEXT = Context(prec=50)  # decimal arithmetic for likelihood-ratio thresh
 _GAIN_MIN_EXCESS = 1e-9
 _GAIN_MAX = 1.5
 _GAIN_REL_TOL = 1e-4
+_EPS = float(np.finfo(float).eps)
 
 
 def half_erfc_sqrt(y: float) -> Tuple[float, float]:
@@ -91,8 +91,6 @@ def homodyne_error(params, K: int) -> Tuple[float, float]:
 class OpaStatistics:
     """Per-mode output photon statistics of the OPA receiver."""
 
-    gain: float
-    epsilon: float
     n0: float
     n1: float
     sigma0: float
@@ -161,39 +159,11 @@ def opa_output_means(params, G: float) -> OpaStatistics:
         + 2.0 * math.sqrt(G * (G - 1.0)) * math.sqrt(kappa * n_s * (n_s + 1.0))
     )
     return OpaStatistics(
-        gain=G,
-        epsilon=math.sqrt(G - 1.0),
         n0=n0,
         n1=n1,
         sigma0=math.sqrt(n0 * (n0 + 1.0)),
         sigma1=math.sqrt(n1 * (n1 + 1.0)),
     )
-
-
-def opa_count_pmf(n_mean: float, K: int, n) -> np.ndarray:
-    """Negative-binomial pmf of the total count over K thermal modes:
-    C(n+K-1, n) N^n / (1+N)^(n+K).  Vectorized over n."""
-    if n_mean < 0.0:
-        raise DomainError(f"n_mean must be >= 0, got {n_mean}")
-    if K < 1:
-        raise DomainError(f"K must be >= 1, got {K}")
-    n_arr = np.atleast_1d(np.asarray(n, dtype=float))
-    if np.any(n_arr < 0) or np.any(n_arr != np.floor(n_arr)):
-        raise DomainError("counts must be non-negative integers")
-    if n_mean == 0.0:
-        out = np.where(n_arr == 0, 1.0, 0.0)
-    else:
-        log_pmf = (
-            gammaln(n_arr + K)
-            - gammaln(n_arr + 1.0)
-            - gammaln(K)
-            + n_arr * (math.log(n_mean) - math.log1p(n_mean))
-            - K * math.log1p(n_mean)
-        )
-        out = np.exp(log_pmf)
-    if np.isscalar(n) or np.asarray(n).ndim == 0:
-        return float(out[0])
-    return out
 
 
 def _lr_threshold(n0: float, n1: float, K: int, clicks: bool) -> int:
@@ -262,6 +232,11 @@ def opa_error_exact(
     all integer thresholds (the lowest minimizer on a tie).  Returns the
     error and the rule.  kappa = 0 makes both count laws identical; that
     case returns 1/2 with a degenerate rule instead of pretending to decide.
+
+    The tails see N0 and N1 only through 1 - x0 = 1/(1+N0) and y1 ~ 1/(1+N1),
+    each rounded by at most eps.  At huge gains their gap shrinks to that
+    size, the two laws are no longer resolved and the error would be noise
+    (even above 1/2), so that raises DomainError.
     """
     if K < 1:
         raise DomainError(f"K must be >= 1, got {K}")
@@ -279,12 +254,22 @@ def opa_error_exact(
     else:
         m0, m1, y1 = stats.n0, stats.n1, 1.0 / (1.0 + stats.n1)
         s0, s1 = stats.sigma0, stats.sigma1
+    if (1.0 - q0) - y1 <= 2.0 * _EPS:
+        raise DomainError(
+            f"gain G={G!r} too large: the count tails no longer resolve "
+            f"N0={stats.n0!r} from N1={stats.n1!r}"
+        )
 
     if policy is ThresholdPolicy.PAPER_FORMULA:
         t = int(math.ceil(K * (s1 * m0 + s0 * m1) / (s0 + s1)))
     else:
         t = _lr_threshold(stats.n0, stats.n1, K, clicks)
     return _threshold_error(t, K, q0, y1, clicks), DecisionRule(threshold=t)
+
+
+def _r_opa(params, G: float) -> float:
+    stats = opa_output_means(params, G)
+    return (stats.n1 - stats.n0) ** 2 / (2.0 * (stats.sigma0 + stats.sigma1) ** 2)
 
 
 def opa_error_gaussian(params, G: float, K: int) -> Tuple[float, float]:
@@ -295,29 +280,22 @@ def opa_error_gaussian(params, G: float, K: int) -> Tuple[float, float]:
     """
     if K < 1:
         raise DomainError(f"K must be >= 1, got {K}")
-    stats = opa_output_means(params, G)
-    r_opa = (stats.n1 - stats.n0) ** 2 / (2.0 * (stats.sigma0 + stats.sigma1) ** 2)
+    r_opa = _r_opa(params, G)
     pe, _ = half_erfc_sqrt(r_opa * K)
     return pe, r_opa
 
 
-def optimize_gain(params, g_max: float = _GAIN_MAX) -> GainOptimum:
-    """Maximize R_OPA over G in (1, g_max] by golden section on log(G-1).
+def optimize_gain(params) -> GainOptimum:
+    """Maximize R_OPA over G in (1, 1.5] by golden section on log(G-1).
 
     The objective is flat when kappa = 0; that returns a degenerate result
     rather than a fake optimum.
     """
     if params.kappa == 0.0:
         return GainOptimum(g_star=None, r_opa=0.0, degenerate=True)
-    if not g_max > 1.0 + _GAIN_MIN_EXCESS:
-        raise DomainError(f"g_max must exceed 1, got {g_max}")
-
-    def neg_r(t: float) -> float:
-        _, r = opa_error_gaussian(params, 1.0 + math.exp(t), K=1)
-        return -r
-
     t_star, neg_best = golden_section_min(
-        neg_r, math.log(_GAIN_MIN_EXCESS), math.log(g_max - 1.0), _GAIN_REL_TOL
+        lambda t: -_r_opa(params, 1.0 + math.exp(t)),
+        math.log(_GAIN_MIN_EXCESS), math.log(_GAIN_MAX - 1.0), _GAIN_REL_TOL,
     )
     return GainOptimum(g_star=1.0 + math.exp(t_star), r_opa=-neg_best)
 

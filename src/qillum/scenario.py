@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Union
+from typing import Union
 
 from .errors import DomainError, ParseError
 
@@ -97,27 +97,6 @@ class ReceiverConfig:
             raise DomainError(f"bad threshold_policy: {self.threshold_policy!r}")
         if not isinstance(self.count_model, CountModel):
             raise DomainError(f"bad count_model: {self.count_model!r}")
-
-
-def validate_params(raw) -> ScenarioParams:
-    """Coerce raw input into a validated ScenarioParams.
-
-    Accepts an existing ScenarioParams (idempotent) or a mapping with keys
-    n_s, kappa, n_b.  Raises DomainError on out-of-range values.
-    """
-    if isinstance(raw, ScenarioParams):
-        return raw
-    if isinstance(raw, Mapping):
-        extra = set(raw) - {"n_s", "kappa", "n_b"}
-        if extra:
-            raise DomainError(f"unknown parameter keys: {sorted(extra)}")
-        try:
-            return ScenarioParams(
-                n_s=float(raw["n_s"]), kappa=float(raw["kappa"]), n_b=float(raw["n_b"])
-            )
-        except KeyError as exc:
-            raise DomainError(f"missing parameter key: {exc.args[0]}") from None
-    raise DomainError(f"cannot validate object of type {type(raw).__name__}")
 
 
 _SCENARIO_KEYS = ("n_s", "kappa", "n_b")

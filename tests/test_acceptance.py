@@ -23,9 +23,7 @@ from qillum import (
     error_prob_bounds,
     homodyne_error,
     majority_vote_error,
-    moments_check,
     opa_bhattacharyya,
-    opa_count_pmf,
     opa_error_exact,
     opa_output_means,
     optimize_gain,
@@ -33,6 +31,8 @@ from qillum import (
     qcb,
 )
 from qillum.cli import _k_grid, main
+
+from oracles import hermiticity_defect, min_eigenvalue, moments_check, opa_count_pmf
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> bool:
@@ -216,9 +216,9 @@ def test_criterion_09_state_construction(ref_params, ref_trunc, spdc_pair):
     from qillum import build_rho0, build_rho1
 
     rho0, rho1 = spdc_pair
-    herm = max(rho0.hermiticity_defect(), rho1.hermiticity_defect())
+    herm = max(hermiticity_defect(rho0), hermiticity_defect(rho1))
     trace_min = min(rho0.trace(), rho1.trace())
-    eig_min = min(rho0.min_eigenvalue(), rho1.min_eigenvalue())
+    eig_min = min(min_eigenvalue(rho0), min_eigenvalue(rho1))
 
     dark = ScenarioParams(ref_params.n_s, 0.0, ref_params.n_b)
     a = build_rho0(dark, ref_trunc)

@@ -4,12 +4,17 @@ bench/tracing.py wraps every public function of the layer modules and
 reports ``<layer>.<function>.{s,calls}`` per layer.  A renamed or deleted
 function would read 0 there without any error, so each such name in
 BENCHMARK.json must resolve to a public function of ``qillum.<layer>``.
-The kernels the tracer patches by name must exist where it looks for them.
+The kernels the tracer patches by name must exist where it looks for them,
+and so must the library functions that bench/checks.py::check_reference
+calls on every run.
 """
 
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +50,35 @@ def test_metric_names_a_public_function(layer, name):
 @pytest.mark.parametrize("layer,kernel", [("fockspace", "expm"), ("receivers", "betainc")])
 def test_patched_kernel_exists(layer, kernel):
     assert callable(getattr(importlib.import_module(f"qillum.{layer}"), kernel, None))
+
+
+# (layer, function) pairs that bench/checks.py::check_reference calls
+REFERENCE_CALLS = [
+    ("fockspace", "thermal_state"),
+    ("fockspace", "build_displaced_thermal"),
+    ("fockspace", "thermal_cutoff"),
+    ("fockspace", "build_rho0"),
+    ("fockspace", "build_rho1"),
+    ("bounds", "qcb"),
+]
+
+
+def test_check_reference_names_resolve():
+    for layer, name in REFERENCE_CALLS:
+        assert callable(getattr(importlib.import_module(f"qillum.{layer}"), name, None)), name
+    from qillum import bounds, fockspace
+
+    cutoff = fockspace.thermal_cutoff(1.003, 1e-9)
+    rho0 = fockspace.thermal_state(1.0, cutoff)
+    rho1 = fockspace.build_displaced_thermal(0.003 ** 0.5, 1.0, cutoff, tail_tol=1e-9)
+    s_star, q_min, exponent = bounds.qcb(rho0, rho1)
+    assert 0.0 < q_min < 1.0 and exponent > 0.0 and 0.0 <= s_star <= 1.0
+
+
+def test_cli_import_loads_no_test_oracle():
+    code = ("import sys, qillum.cli; "
+            "print(sorted(m for m in ('mpmath', 'oracles') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

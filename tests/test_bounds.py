@@ -388,15 +388,10 @@ class TestAsymptoticExponents:
         assert rep.r_c == 1.25e-6
         assert abs(rep.r_c_hom - 1.2195e-6) <= 1e-10
         assert rep.r_c_hom == pytest.approx(1e-4 / 82.0, rel=1e-15)
-        assert rep.regime_ok
 
     def test_kappa_zero_all_vanish(self, ref_params):
         rep = asymptotic_exponents(ScenarioParams(ref_params.n_s, 0.0, ref_params.n_b))
         assert rep.r_q == rep.r_c == rep.r_c_hom == 0.0
-
-    def test_out_of_regime_flagged(self):
-        rep = asymptotic_exponents(ScenarioParams(0.5, 0.5, 2.0))
-        assert not rep.regime_ok
 
     def test_rejects_dark_background(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: artifacts, determinism and exit codes."""
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -20,6 +21,8 @@ from qillum import (
     opa_error_gaussian,
     optimize_gain,
 )
+import qillum.cli
+import qillum.receivers
 from qillum.cli import _check_error_curves, _coherent_exponent, main
 
 FAST_CONFIG = """\
@@ -260,6 +263,21 @@ class TestExponentsCommand:
         assert float(table["db_r_q_vs_r_c"]) == pytest.approx(10 * math.log10(4), abs=1e-12)
         assert float(table["db_opa_vs_r_c"]) == pytest.approx(2.0, abs=0.1)
 
+    def test_gain_search_runs_once(self, monkeypatch, capsys):
+        """Under gain=auto the g_star row reuses the search behind the gain."""
+        calls = []
+        search = qillum.receivers.optimize_gain
+
+        def counting_search(params):
+            calls.append(params)
+            return search(params)
+
+        monkeypatch.setattr(qillum.receivers, "optimize_gain", counting_search)
+        monkeypatch.setattr(qillum.cli, "optimize_gain", counting_search)
+        assert main(["exponents", "--gain", "auto"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
     def test_past_the_cutoff_cap(self, tmp_path, capsys):
         """At n_b = 1e3 the Fock Chernoff pass is skipped, but the coherent
         exponent is a closed form and is always reported."""
@@ -381,6 +399,12 @@ class TestExitCodes:
                      "--k-min", "100", "--k-max", "10"]) == 2
         capsys.readouterr()
 
+    def test_unresolved_huge_gain_exits_one(self, tmp_path, capsys):
+        assert main(["helstrom", "--out", str(tmp_path), "--gain", "1e20",
+                     "--count-model", "on_off"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qillum: ") and "no longer resolve" in err
+
     def test_computation_error_exits_one(self, tmp_path, capsys):
         # n_b = 0 passes parameter validation but has no defined exponents
         assert main(["sweep", "--out", str(tmp_path),
@@ -403,3 +427,77 @@ class TestErrorCurve:
 
     def test_accepts_valid_curve(self):
         _check_error_curves(self.COLUMNS, [[1, -0.4], [10, -1.0]])
+
+
+def columns_sha(path, keep):
+    """SHA-256 of a CSV's params line and the named columns, header included."""
+    lines = path.read_text(encoding="ascii").splitlines()
+    index = [lines[1].split(",").index(name) for name in keep]
+    kept = [",".join(line.split(",")[i] for i in index) for line in lines[1:]]
+    return hashlib.sha256("\n".join(lines[:1] + kept).encode("ascii")).hexdigest()
+
+
+class TestGoldenBytes:
+    """Deterministic CSV columns pinned by SHA-256, so a change meant to keep
+    every output byte-identical cannot move one unnoticed.  Columns computed
+    from eigh (r_q_numeric, the quantum bounds, the Helstrom vote) are left
+    out, because LAPACK builds may differ in the last bits."""
+
+    SCENARIOS = {
+        "default": None,
+        "bright_scan": "n_s = 0.01\nkappa = 0.3\nn_b = 1.0\nthreshold_policy = optimal_scan\n",
+    }
+    RUNS = {
+        "sweep_gain": (["sweep", "--axis", "gain", "--grid", "1.001,1.005,1.01,1.1"], "sweep.csv",
+                       None),
+        "sweep_n_b": (["sweep", "--axis", "n_b", "--grid", "1,10,100,1000"], "sweep.csv", None),
+        "exponents": (["exponents"], "exponents.csv", None),
+        "bounds": (["bounds"], "bounds.csv",
+                   ["K", "lower_classical", "upper_classical", "homodyne", "opa_exact",
+                    "opa_gaussian"]),
+        "helstrom": (["helstrom"], "helstrom.csv", ["K", "opa_exact"]),
+    }
+    GOLDEN = {
+        ("bright_scan", "bounds"):
+            "6925d4bc823ad273274f44474aeb468a89f05602e73b430307db4c0ae500b207",
+        ("bright_scan", "exponents"):
+            "6464eb4c3335e6ccd559ac8ae0c2f023396647565ea4a26d82694e278b3232bc",
+        ("bright_scan", "helstrom"):
+            "e528422655b6b139cf3c9c380b9f5cc5df6606292e9a2d16dc039dbe09c33a48",
+        ("bright_scan", "sweep_gain"):
+            "323942e46a510ebb7d6f15cafba01160da89f4cc373fffa8f11678d2a03a5bf6",
+        ("bright_scan", "sweep_n_b"):
+            "002ddee359b57d020d92f1408116a77fbaeabb7f46ebe658a3e4bb8520bf9432",
+        ("default", "bounds"):
+            "551e4f2156064ac0c73bf9cfeedd22ed15b28725ea52f81c5729499009ccc693",
+        ("default", "exponents"):
+            "50ffbb113470dad28f7eef902a12b64a249c02f270567993b6a814dd38c7744d",
+        ("default", "helstrom"):
+            "cb634986e7aa0db98c6d4ce6f13279d1d3fb34e5217746863cadab37091976bc",
+        ("default", "sweep_gain"):
+            "39608a664d28d89d27ca73aefb0b077523e16ad36d535e2ce1c0a032a24c7596",
+        ("default", "sweep_n_b"):
+            "4aa78a0dad9e67fd7d538fee2d216fbb69258e331cacb9e82d3b1edd52997fb4",
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_sha256(self, tmp_path, capsys, scenario, run):
+        argv, name, keep = self.RUNS[run]
+        argv = argv + ["--out", str(tmp_path)]
+        if self.SCENARIOS[scenario] is not None:
+            cfg = tmp_path / "scenario.cfg"
+            cfg.write_text(self.SCENARIOS[scenario], encoding="ascii")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        path = tmp_path / name
+        if run == "exponents":
+            lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+            data = "".join(line for line in lines if not line.startswith("r_q_numeric,"))
+            digest = hashlib.sha256(data.encode("ascii")).hexdigest()
+        elif keep is None:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        else:
+            digest = columns_sha(path, keep)
+        assert digest == self.GOLDEN[scenario, run]

@@ -16,10 +16,8 @@ from qillum import (
     half_erfc_sqrt,
     helstrom_single_shot,
     homodyne_error,
-    idler_photon_pmf,
     majority_vote_error,
     opa_bhattacharyya,
-    opa_count_pmf,
     opa_error_exact,
     opa_error_gaussian,
     opa_output_means,
@@ -30,6 +28,8 @@ from qillum import (
 )
 from qillum.fockspace import JointState
 from qillum.receivers import _lr_threshold
+
+from oracles import idler_photon_pmf, opa_count_pmf
 
 REF = ScenarioParams(n_s=0.01, kappa=0.01, n_b=20.0)
 G_REF = 1.005
@@ -133,7 +133,6 @@ class TestOpaOutputMeans:
         assert st.n0 == pytest.approx(0.11505, rel=1e-12)
         assert st.n1 == pytest.approx(0.1164753157775634, rel=1e-12)
         assert st.n1 - st.n0 == pytest.approx(1.425e-3, rel=1e-3)
-        assert st.epsilon == math.sqrt(G_REF - 1.0)
 
     def test_sigma_identity(self):
         st = opa_output_means(REF, 1.02)
@@ -275,6 +274,36 @@ class TestOpaErrorExact:
             opa_error_exact(REF, G_REF, 1, "optimal_scan", count_model="analog")
 
 
+class TestHugeGain:
+    """N1 >= N0, so every threshold test has P_e <= 1/2.  At huge explicit
+    gains the tail arguments N0/(1+N0) and 1/(1+N1) round the two count
+    laws together; opa_error_exact must then refuse, never return noise."""
+
+    @pytest.mark.parametrize("params", [REF, BRIGHT], ids=["ref", "bright"])
+    @pytest.mark.parametrize("model", list(CountModel))
+    @pytest.mark.parametrize("policy", ["paper_formula", "optimal_scan"])
+    def test_refuses_or_stays_at_most_half(self, params, model, policy):
+        refused = 0
+        for g in np.logspace(3, 20, 69):
+            for k in (1, 10, 10**4, 10**8):
+                try:
+                    pe, _ = opa_error_exact(params, float(g), k, policy, model)
+                except DomainError:
+                    refused += 1
+                    continue
+                assert pe <= 0.5, (g, k, pe)
+        assert refused > 0
+
+    @pytest.mark.parametrize("params", [REF, BRIGHT], ids=["ref", "bright"])
+    @pytest.mark.parametrize("model", list(CountModel))
+    @pytest.mark.parametrize("policy", ["paper_formula", "optimal_scan"])
+    def test_accepts_every_gain_up_to_one_and_a_half(self, params, model, policy):
+        for g in 1.0 + np.logspace(-9, math.log10(0.5), 25):
+            for k in (1, 10, 10**4, 10**8):
+                pe, _ = opa_error_exact(params, float(g), k, policy, model)
+                assert pe <= 0.5
+
+
 class TestLikelihoodRatioThreshold:
     """optimal_scan's closed-form threshold against the brute-force scan and
     against its defining inequality evaluated in mpmath."""
@@ -401,10 +430,6 @@ class TestOptimizeGain:
         assert opt.degenerate
         assert opt.g_star is None
         assert opt.r_opa == 0.0
-
-    def test_rejects_bad_bracket(self):
-        with pytest.raises(DomainError):
-            optimize_gain(REF, g_max=1.0)
 
 
 class TestOpaBhattacharyya:

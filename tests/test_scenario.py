@@ -13,7 +13,6 @@ from qillum import (
     ThresholdPolicy,
     parse_config,
     render_config,
-    validate_params,
 )
 from qillum.scenario import GAIN_AUTO, GAIN_BHATT
 
@@ -82,28 +81,6 @@ class TestReceiverConfig:
             ReceiverConfig(threshold_policy="optimal_scan")
         with pytest.raises(DomainError):
             ReceiverConfig(count_model="on_off")
-
-
-class TestValidateParams:
-    def test_idempotent(self):
-        p = ScenarioParams(0.01, 0.01, 20.0)
-        assert validate_params(p) is p
-
-    def test_mapping(self):
-        p = validate_params({"n_s": "0.01", "kappa": 0.01, "n_b": 20})
-        assert p == ScenarioParams(0.01, 0.01, 20.0)
-
-    def test_unknown_key(self):
-        with pytest.raises(DomainError, match="unknown parameter"):
-            validate_params({"n_s": 0.01, "kappa": 0.01, "n_b": 20, "g": 1.1})
-
-    def test_missing_key(self):
-        with pytest.raises(DomainError, match="missing"):
-            validate_params({"n_s": 0.01, "kappa": 0.01})
-
-    def test_wrong_type(self):
-        with pytest.raises(DomainError):
-            validate_params([0.01, 0.01, 20.0])
 
 
 CONFIG_OK = """\
