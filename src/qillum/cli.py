@@ -68,6 +68,8 @@ _UNDEF = "-"  # stdout placeholder for quantities with no defined value
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return "nan"
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -81,24 +83,26 @@ def _digest(params: ScenarioParams, receiver: ReceiverConfig, extra: Dict[str, o
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
 
 
-def _write_csv(path: Path, digest: str, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_outputs(args, params: ScenarioParams, receiver: ReceiverConfig,
+                   columns: Sequence[str], rows: Sequence[Sequence], notes: List[str],
+                   count_rows: bool = True, **extra: str) -> None:
+    """Write <command>.csv and its meta.txt sidecar to --out and name the CSV
+    on stdout.  The digest covers the scenario, the command, the tail
+    tolerance and the command's own extra keys."""
+    extra.update(command=args.command, tail_tol=repr(args.tail_tol))
+    digest = _digest(params, receiver, extra)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"{args.command}.csv"
     lines = [f"# params={digest}", ",".join(columns)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def _write_meta(out_dir: Path, command: str, digest: str,
-                params: ScenarioParams, receiver: ReceiverConfig,
-                extra: Dict[str, object], notes: List[str]) -> None:
-    lines = [
-        "tool=qillum 0.1.0",
-        f"command={command}",
-        f"params_digest={digest}",
-    ]
-    lines.extend(render_config(params, receiver).splitlines())
-    lines.extend(f"{key}={extra[key]}" for key in sorted(extra) if key != "command")
-    lines.extend(f"note={note}" for note in notes)
-    (out_dir / "meta.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+    meta = ["tool=qillum 0.1.0", f"command={args.command}", f"params_digest={digest}"]
+    meta.extend(render_config(params, receiver).splitlines())
+    meta.extend(f"{key}={extra[key]}" for key in sorted(extra) if key != "command")
+    meta.extend(f"note={note}" for note in notes)
+    (out_dir / "meta.txt").write_text("\n".join(meta) + "\n", encoding="ascii")
+    print(f"wrote {path}" + (f" ({len(rows)} rows)" if count_rows else ""))
 
 
 def _k_grid(k_min: float, k_max: float, k_points: int) -> List[int]:
@@ -141,7 +145,7 @@ def _load_setup(args) -> Tuple[ScenarioParams, ReceiverConfig]:
         params, receiver = _DEFAULT_PARAMS, ReceiverConfig()
 
     overrides: Dict[str, object] = {}
-    if getattr(args, "gain", None) is not None:
+    if args.gain is not None:
         spec: Union[float, str] = args.gain
         if spec not in (GAIN_AUTO, GAIN_BHATT):
             try:
@@ -151,9 +155,9 @@ def _load_setup(args) -> Tuple[ScenarioParams, ReceiverConfig]:
                     f"--gain needs a number, '{GAIN_AUTO}' or '{GAIN_BHATT}', got {args.gain!r}"
                 ) from None
         overrides["gain"] = spec
-    if getattr(args, "threshold_policy", None) is not None:
+    if args.threshold_policy is not None:
         overrides["threshold_policy"] = ThresholdPolicy(args.threshold_policy)
-    if getattr(args, "count_model", None) is not None:
+    if args.count_model is not None:
         overrides["count_model"] = CountModel(args.count_model)
     if overrides:
         receiver = dataclasses.replace(receiver, **overrides)
@@ -178,14 +182,15 @@ def _parse_grid(text: str) -> List[float]:
     return values
 
 
-def _sweep_points(params: ScenarioParams, axis: str, values: List[float]) -> List[ScenarioParams]:
-    """Validate the whole grid eagerly so bad values fail as usage errors."""
+def _sweep_points(params: ScenarioParams, axis: str,
+                  values: List[float]) -> List[Tuple[float, ScenarioParams]]:
+    """Pair each grid value with its scenario, checking every value up front."""
     if axis == "gain":
         for v in values:
             if not (math.isfinite(v) and v > 1.0):
                 raise DomainError(f"gain grid value {v} must satisfy G > 1")
-        return [params] * len(values)
-    return [dataclasses.replace(params, **{axis: v}) for v in values]
+        return [(v, params) for v in values]
+    return [(v, dataclasses.replace(params, **{axis: v})) for v in values]
 
 
 # --- coherent-state benchmark -------------------------------------------------
@@ -207,93 +212,93 @@ def _coherent_exponent(params: ScenarioParams) -> float:
 # --- subcommands ----------------------------------------------------------------
 
 
-def cmd_bounds(args, params: ScenarioParams, receiver: ReceiverConfig) -> None:
-    ks = _k_grid(args.k_min, args.k_max, args.k_points)
-    extra = {
-        "command": "bounds",
-        "tail_tol": repr(args.tail_tol),
-        "k_grid": ",".join(str(k) for k in ks),
-    }
-    digest = _digest(params, receiver, extra)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _k_table(args, params: ScenarioParams, receiver: ReceiverConfig, ks: List[int],
+             columns: Sequence[str], pair_columns) -> None:
+    """Write one row of log10 error probabilities per K.
+
+    pair_columns(trunc, rho0, rho1, gain) returns a note for meta.txt and
+    cells(k, log10_opa_exact), the row after K with the exact OPA error in
+    its slot.
+    """
     notes = [f"count_model: {receiver.count_model.value}"]
-
-    columns = ["K", "lower_classical", "upper_classical", "lower_quantum",
-               "upper_quantum", "homodyne", "opa_exact", "opa_gaussian"]
-
     if params.kappa == 0.0:
         # Identical hypotheses: every receiver and bound sits at chance.  The
         # numeric route would instead amplify the truncation deficit by K.
-        rows = [[k] + [_LOG10_HALF] * 7 for k in ks]
+        rows = [[k] + [_LOG10_HALF] * (len(columns) - 1) for k in ks]
         notes.append("kappa=0: all columns analytic log10(1/2)")
     else:
         trunc = TruncationSpec.for_params(params, tail_tol=args.tail_tol)
         rho0, rho1 = build_rho0(params, trunc), build_rho1(params, trunc)
-        q_half_q, q_qcb_q = overlaps(rho0, rho1)
-        q_c = math.exp(-_coherent_exponent(params))  # Q_half = Q_min at s* = 1/2
         gain, gain_note = resolve_gain(params, receiver.gain)
-        notes.append(f"gain: {gain_note}")
-        notes.append(f"trunc: n_r_max={trunc.n_r_max} n_i_max={trunc.n_i_max}")
-        _, r_opa = opa_error_gaussian(params, gain, 1)
+        note, cells = pair_columns(trunc, rho0, rho1, gain)
+        notes += [f"gain: {gain_note}", note]
         rows = []
         for k in ks:
+            pe_opa, _ = opa_error_exact(params, gain, k, receiver.threshold_policy,
+                                        receiver.count_model)
+            rows.append([k] + cells(k, _log10_or_inf(pe_opa)))
+        _check_error_curves(columns, rows)
+    _write_outputs(args, params, receiver, columns, rows, notes,
+                   k_grid=",".join(str(k) for k in ks))
+
+
+def cmd_bounds(args, params: ScenarioParams, receiver: ReceiverConfig, ks: List[int]) -> None:
+    def pair_columns(trunc, rho0, rho1, gain):
+        q_half_q, q_qcb_q = overlaps(rho0, rho1)
+        q_c = math.exp(-_coherent_exponent(params))  # Q_half = Q_min at s* = 1/2
+        _, r_opa = opa_error_gaussian(params, gain, 1)
+
+        def cells(k, log10_opa):
             b_c = error_prob_bounds(q_c, q_c, k)
             b_q = error_prob_bounds(q_half_q, q_qcb_q, k)
             _, log10_hom = homodyne_error(params, k)
             # the log leg stays finite where the probability underflows
             _, log10_gauss = half_erfc_sqrt(r_opa * k)
-            pe_opa, _ = opa_error_exact(params, gain, k, receiver.threshold_policy,
-                                        receiver.count_model)
-            rows.append([k, b_c.log10_lower, b_c.log10_upper_qcb,
-                         b_q.log10_lower, b_q.log10_upper_qcb, log10_hom,
-                         _log10_or_inf(pe_opa), log10_gauss])
-        _check_error_curves(columns, rows)
+            return [b_c.log10_lower, b_c.log10_upper_qcb, b_q.log10_lower,
+                    b_q.log10_upper_qcb, log10_hom, log10_opa, log10_gauss]
+        return f"trunc: n_r_max={trunc.n_r_max} n_i_max={trunc.n_i_max}", cells
 
-    _write_csv(out_dir / "bounds.csv", digest, columns, rows)
-    _write_meta(out_dir, "bounds", digest, params, receiver, extra, notes)
-    print(f"wrote {out_dir / 'bounds.csv'} ({len(rows)} rows)")
+    _k_table(args, params, receiver, ks,
+             ["K", "lower_classical", "upper_classical", "lower_quantum",
+              "upper_quantum", "homodyne", "opa_exact", "opa_gaussian"], pair_columns)
 
 
-def cmd_helstrom(args, params: ScenarioParams, receiver: ReceiverConfig) -> None:
-    ks = _k_grid(args.k_min, args.k_max, args.k_points)
-    extra = {
-        "command": "helstrom",
-        "tail_tol": repr(args.tail_tol),
-        "k_grid": ",".join(str(k) for k in ks),
-    }
-    digest = _digest(params, receiver, extra)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    notes = [f"count_model: {receiver.count_model.value}"]
-
-    columns = ["K", "opa_exact", "helstrom_majority_exact", "helstrom_majority_clt"]
-    if params.kappa == 0.0:
-        rows = [[k] + [_LOG10_HALF] * 3 for k in ks]
-        notes.append("kappa=0: all columns analytic log10(1/2)")
-    else:
-        trunc = TruncationSpec.for_params(params, tail_tol=args.tail_tol)
-        result = helstrom_single_shot(build_rho0(params, trunc), build_rho1(params, trunc))
+def cmd_helstrom(args, params: ScenarioParams, receiver: ReceiverConfig, ks: List[int]) -> None:
+    def pair_columns(trunc, rho0, rho1, gain):
+        result = helstrom_single_shot(rho0, rho1)
         # Majority voting needs both conditional rates at or below 1/2; the
         # raw split can put one leg above, so the vote uses the average error
         # as a symmetric per-pair flip probability.
         p_flip = result.pe_single
-        gain, gain_note = resolve_gain(params, receiver.gain)
-        notes.append(f"gain: {gain_note}")
-        notes.append(f"helstrom single shot: pe={result.pe_single!r} "
-                     f"p01={result.p01!r} p10={result.p10!r}")
-        rows = []
-        for k in ks:
-            pe_opa, _ = opa_error_exact(params, gain, k, receiver.threshold_policy,
-                                        receiver.count_model)
+
+        def cells(k, log10_opa):
             pe_maj = majority_vote_error(p_flip, p_flip, k, method="exact_binomial")
             pe_clt = majority_vote_error(p_flip, p_flip, k, method="clt")
-            rows.append([k] + [_log10_or_inf(pe) for pe in (pe_opa, pe_maj, pe_clt)])
-        _check_error_curves(columns, rows)
+            return [log10_opa, _log10_or_inf(pe_maj), _log10_or_inf(pe_clt)]
+        return (f"helstrom single shot: pe={result.pe_single!r} "
+                f"p01={result.p01!r} p10={result.p10!r}"), cells
 
-    _write_csv(out_dir / "helstrom.csv", digest, columns, rows)
-    _write_meta(out_dir, "helstrom", digest, params, receiver, extra, notes)
-    print(f"wrote {out_dir / 'helstrom.csv'} ({len(rows)} rows)")
+    _k_table(args, params, receiver, ks,
+             ["K", "opa_exact", "helstrom_majority_exact", "helstrom_majority_clt"],
+             pair_columns)
+
+
+def _opa_exponents(params: ScenarioParams,
+                   gain: Optional[float]) -> Tuple[float, float, float, Optional[float]]:
+    """(r_opa, r_b_exact, r_b_small_gain, r_b_ratio) of the OPA at gain G.
+
+    G is None only for the flat kappa = 0 search, where every exponent is
+    zero.  r_b_ratio is r_b_exact over its weak-signal limit
+    kappa n_s / (2 n_b), and None where that limit is zero.  Callers have
+    run asymptotic_exponents on params, which rejects n_b <= 0.
+    """
+    if gain is None:
+        return 0.0, 0.0, 0.0, None
+    _, r_opa = opa_error_gaussian(params, gain, 1)
+    _, r_b_exact, r_b_small = opa_bhattacharyya(params, gain)
+    half_limit = params.kappa * params.n_s / (2.0 * params.n_b)
+    r_b_ratio = r_b_exact / half_limit if half_limit > 0.0 else None
+    return r_opa, r_b_exact, r_b_small, r_b_ratio
 
 
 def _db_gain(value: Optional[float], r_c: float) -> Optional[float]:
@@ -302,7 +307,7 @@ def _db_gain(value: Optional[float], r_c: float) -> Optional[float]:
     return 10.0 * math.log10(value / r_c)
 
 
-def cmd_exponents(args, params: ScenarioParams, receiver: ReceiverConfig) -> None:
+def cmd_exponents(args, params: ScenarioParams, receiver: ReceiverConfig, _grid) -> None:
     report = asymptotic_exponents(params)
     notes: List[str] = []
     rows: List[Tuple[str, Optional[float], str]] = [
@@ -325,26 +330,21 @@ def cmd_exponents(args, params: ScenarioParams, receiver: ReceiverConfig) -> Non
 
     gain, gain_note = resolve_gain(params, receiver.gain)
     notes.append(f"gain: {gain_note}")
+    r_opa, r_b_exact, r_b_small, r_b_ratio = _opa_exponents(params, gain)
     if gain is None:
         rows.append(("g_star", None, gain_note))
-        rows.append(("r_opa", 0.0, "degenerate (kappa=0)"))
-        rows.append(("r_b_exact", 0.0, "degenerate (kappa=0)"))
-        rows.append(("r_b_small_gain", 0.0, "degenerate (kappa=0)"))
-        r_opa: Optional[float] = 0.0
-        r_b_exact: Optional[float] = 0.0
+        rows.append(("r_opa", r_opa, "degenerate (kappa=0)"))
+        rows.append(("r_b_exact", r_b_exact, "degenerate (kappa=0)"))
+        rows.append(("r_b_small_gain", r_b_small, "degenerate (kappa=0)"))
     else:
         # under gain=auto resolve_gain already ran the search
         g_star = gain if receiver.gain == GAIN_AUTO else optimize_gain(params).g_star
-        _, r_opa = opa_error_gaussian(params, gain, 1)
-        _, r_b_exact, r_b_small = opa_bhattacharyya(params, gain)
         rows.append(("g_star", g_star, "argmax of r_opa"))
         rows.append(("r_opa", r_opa, f"at G={gain!r}"))
         rows.append(("r_b_exact", r_b_exact, "-ln Q_B"))
         rows.append(("r_b_small_gain", r_b_small, "series form"))
-        if params.n_b > 0.0:
-            half_limit = params.kappa * params.n_s / (2.0 * params.n_b)
-            if half_limit > 0.0:
-                rows.append(("r_b_ratio", r_b_exact / half_limit, "r_b_exact/(kappa*n_s/2n_b)"))
+    if r_b_ratio is not None:
+        rows.append(("r_b_ratio", r_b_ratio, "r_b_exact/(kappa*n_s/2n_b)"))
 
     rows.append(("db_opa_vs_r_c", _db_gain(r_opa, report.r_c), "10 log10(r_opa/r_c)"))
     rows.append(("db_r_b_vs_r_c", _db_gain(r_b_exact, report.r_c), "10 log10(r_b/r_c)"))
@@ -356,53 +356,22 @@ def cmd_exponents(args, params: ScenarioParams, receiver: ReceiverConfig) -> Non
         print(f"{name:<{width}}  {shown:<24} {note}")
 
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        extra = {"command": "exponents", "tail_tol": repr(args.tail_tol)}
-        digest = _digest(params, receiver, extra)
-        csv_rows = [(name, "nan" if value is None else repr(float(value)), note)
-                    for name, value, note in rows]
-        _write_csv(out_dir / "exponents.csv", digest, ["quantity", "value", "note"], csv_rows)
-        _write_meta(out_dir, "exponents", digest, params, receiver, extra, notes)
-        print(f"wrote {out_dir / 'exponents.csv'}")
+        _write_outputs(args, params, receiver, ["quantity", "value", "note"], rows, notes,
+                       count_rows=False)
 
 
-def cmd_sweep(args, params: ScenarioParams, receiver: ReceiverConfig) -> None:
-    values = _parse_grid(args.grid)
-    points = _sweep_points(params, args.axis, values)
-    extra = {
-        "command": "sweep",
-        "axis": args.axis,
-        "grid": ",".join(repr(v) for v in values),
-        "tail_tol": repr(args.tail_tol),
-    }
-    digest = _digest(params, receiver, extra)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def cmd_sweep(args, params: ScenarioParams, receiver: ReceiverConfig,
+              points: List[Tuple[float, ScenarioParams]]) -> None:
     columns = [args.axis, "r_q", "r_c", "r_c_hom", "regime_ok",
                "gain", "r_opa", "r_b_exact", "r_b_small_gain", "r_b_ratio"]
     rows = []
-    for value, point in zip(values, points):
+    for value, point in points:
         report = asymptotic_exponents(point)
-        if args.axis == "gain":
-            gain: Optional[float] = value
-        else:
-            gain, _ = resolve_gain(point, receiver.gain)
-        if gain is None:
-            g_cell, r_opa, r_b_exact, r_b_small = float("nan"), 0.0, 0.0, 0.0
-        else:
-            g_cell = gain
-            _, r_opa = opa_error_gaussian(point, gain, 1)
-            _, r_b_exact, r_b_small = opa_bhattacharyya(point, gain)
-        half_limit = point.kappa * point.n_s / (2.0 * point.n_b) if point.n_b > 0 else 0.0
-        ratio = r_b_exact / half_limit if half_limit > 0.0 else float("nan")
-        rows.append([value, report.r_q, report.r_c, report.r_c_hom,
-                     int(point.regime_ok), g_cell, r_opa, r_b_exact, r_b_small, ratio])
-
-    _write_csv(out_dir / "sweep.csv", digest, columns, rows)
-    _write_meta(out_dir, "sweep", digest, params, receiver, extra, [])
-    print(f"wrote {out_dir / 'sweep.csv'} ({len(rows)} rows)")
+        gain = value if args.axis == "gain" else resolve_gain(point, receiver.gain)[0]
+        rows.append([value, report.r_q, report.r_c, report.r_c_hom, int(point.regime_ok),
+                     gain, *_opa_exponents(point, gain)])
+    _write_outputs(args, params, receiver, columns, rows, [],
+                   axis=args.axis, grid=",".join(repr(v) for v, _ in points))
 
 
 # --- argument parsing -----------------------------------------------------------
@@ -477,11 +446,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         params, receiver = _load_setup(args)
+        # grids are parsed before any work, so malformed ones fail as usage errors
+        grid = None
         if args.command == "sweep":
-            # validate grids eagerly so malformed ones fail as usage errors
-            _sweep_points(params, args.axis, _parse_grid(args.grid))
+            grid = _sweep_points(params, args.axis, _parse_grid(args.grid))
         elif args.command in ("bounds", "helstrom"):
-            _k_grid(args.k_min, args.k_max, args.k_points)
+            grid = _k_grid(args.k_min, args.k_max, args.k_points)
     except (ParseError, DomainError) as exc:
         print(f"qillum: config error: {exc}", file=sys.stderr)
         return 2
@@ -489,7 +459,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"qillum: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        args.run(args, params, receiver)
+        args.run(args, params, receiver, grid)
     except QIError as exc:
         print(f"qillum: {exc}", file=sys.stderr)
         return 1

@@ -153,7 +153,6 @@ class JointState:
 
     blocks: Dict[int, np.ndarray]
     trunc: TruncationSpec
-    hypothesis: str
     stack: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -179,9 +178,8 @@ class JointState:
         return math.fsum(self.stack.diagonal(axis1=1, axis2=2).ravel().tolist())
 
 
-def _new_state(stack: np.ndarray, trunc: TruncationSpec, hypothesis: str) -> JointState:
-    return JointState(blocks=_block_views(stack, trunc), trunc=trunc,
-                      hypothesis=hypothesis, stack=stack)
+def _new_state(stack: np.ndarray, trunc: TruncationSpec) -> JointState:
+    return JointState(blocks=_block_views(stack, trunc), trunc=trunc, stack=stack)
 
 
 def build_rho0(params, trunc: TruncationSpec) -> JointState:
@@ -197,7 +195,7 @@ def build_rho0(params, trunc: TruncationSpec) -> JointState:
         n1 = n2 + d[rows]
         lw = _log_thermal_weights(n1, params.n_b) + _log_thermal_weights(n2, params.n_s)
         stack[rows, c, c] = np.exp(lw)
-    return _new_state(stack, trunc, "H0")
+    return _new_state(stack, trunc)
 
 
 def _hyp2f1_rows(n1: np.ndarray, n2: np.ndarray, l: int, z: float,
@@ -287,7 +285,7 @@ def build_rho1(params, trunc: TruncationSpec) -> JointState:
             elem = np.exp(log_elem) * _hyp2f1_rows(n1, n2, l, z, lf)
             stack[rows, c + l, c] = elem
             stack[rows, c, c + l] = elem  # state is real-symmetric
-    return _new_state(stack, trunc, "H1")
+    return _new_state(stack, trunc)
 
 
 # --- single-mode states for the classical benchmark -------------------------

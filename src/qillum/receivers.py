@@ -97,6 +97,10 @@ class OpaStatistics:
     sigma1: float
 
     def __post_init__(self):
+        # one finite sum for the four values: this runs on every gain-search step
+        if not math.isfinite(self.n0 + self.n1 + self.sigma0 + self.sigma1):
+            raise DomainError(f"OPA output statistics overflow: n0={self.n0}, n1={self.n1}, "
+                              f"sigma0={self.sigma0}, sigma1={self.sigma1}")
         if self.n1 < self.n0 - 1e-15:
             raise DomainError(f"need n1 >= n0, got n0={self.n0}, n1={self.n1}")
 
@@ -115,11 +119,10 @@ class DecisionRule:
 
 @dataclass(frozen=True)
 class GainOptimum:
-    """Result of the gain optimization; degenerate when the objective is flat."""
+    """Result of the gain optimization; g_star is None when the objective is flat."""
 
     g_star: Optional[float]
     r_opa: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -288,11 +291,11 @@ def opa_error_gaussian(params, G: float, K: int) -> Tuple[float, float]:
 def optimize_gain(params) -> GainOptimum:
     """Maximize R_OPA over G in (1, 1.5] by golden section on log(G-1).
 
-    The objective is flat when kappa = 0; that returns a degenerate result
+    The objective is flat when kappa = 0; that returns g_star = None
     rather than a fake optimum.
     """
     if params.kappa == 0.0:
-        return GainOptimum(g_star=None, r_opa=0.0, degenerate=True)
+        return GainOptimum(g_star=None, r_opa=0.0)
     t_star, neg_best = golden_section_min(
         lambda t: -_r_opa(params, 1.0 + math.exp(t)),
         math.log(_GAIN_MIN_EXCESS), math.log(_GAIN_MAX - 1.0), _GAIN_REL_TOL,
@@ -315,6 +318,11 @@ def opa_bhattacharyya(params, G: float) -> Tuple[float, float, float]:
     stats = opa_output_means(params, G)
     n0, n1 = stats.n0, stats.n1
     denom = math.sqrt((1.0 + n0) * (1.0 + n1)) - math.sqrt(n0 * n1)
+    # Every N1 > N0 has q_b < 1, so a denominator at or below 1 there (or at
+    # or below 0 anywhere) means rounding ate N1 - N0.
+    if denom <= 0.0 or (denom <= 1.0 and n1 > n0):
+        raise DomainError(f"gain G={G!r} too large: Q_B no longer resolves "
+                          f"N0={n0!r} from N1={n1!r}")
     q_b = 1.0 / denom
     r_b_exact = math.log(denom)
 
@@ -440,7 +448,7 @@ def resolve_gain(params, gain_spec) -> Tuple[Optional[float], str]:
     if isinstance(gain_spec, str):
         if gain_spec == GAIN_AUTO:
             opt = optimize_gain(params)
-            if opt.degenerate:
+            if opt.g_star is None:
                 return None, "gain optimization degenerate (kappa = 0)"
             return opt.g_star, f"auto-optimized, R_OPA={opt.r_opa:.6e}"
         if gain_spec == GAIN_BHATT:

@@ -405,11 +405,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("qillum: ") and "no longer resolve" in err
 
+    @pytest.mark.parametrize("argv,config", [
+        (["exponents", "--gain", "1e20"], None),
+        (["exponents", "--gain", "1e200"], None),
+        (["sweep", "--axis", "gain", "--grid", "1.01,1e20"], None),
+        (["exponents", "--gain", "1e20"], "n_s = 0.01\nkappa = 0\nn_b = 5\n"),
+    ], ids=["exponents-1e20", "exponents-1e200", "sweep-1e20", "exponents-1e20-kappa0"])
+    def test_unresolved_exponent_gain_exits_one(self, tmp_path, capsys, argv, config):
+        argv = argv + ["--out", str(tmp_path)]
+        if config is not None:
+            cfg = tmp_path / "scenario.cfg"
+            cfg.write_text(config, encoding="ascii")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qillum: ") and "Traceback" not in err
+
     def test_computation_error_exits_one(self, tmp_path, capsys):
         # n_b = 0 passes parameter validation but has no defined exponents
         assert main(["sweep", "--out", str(tmp_path),
                      "--axis", "n_b", "--grid", "0"]) == 1
         capsys.readouterr()
+
+
+class TestNoTraceback:
+    """Every command ends in an exit code, whatever the gain: huge explicit
+    gains must fail as computation errors, not as uncaught exceptions."""
+
+    SCENARIOS = [(0.01, 0.01, 20.0), (0.01, 0.3, 1.0), (0.01, 0.0, 5.0)]
+    COMMANDS = {
+        "bounds": ["bounds", "--k-points", "5"],
+        "helstrom": ["helstrom", "--k-points", "5"],
+        "exponents": ["exponents"],
+        "sweep": ["sweep", "--axis", "n_b", "--grid", "1,20"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exit_code_for_every_gain(self, tmp_path, capsys, command):
+        for i, (n_s, kappa, n_b) in enumerate(self.SCENARIOS):
+            cfg = tmp_path / f"scenario{i}.cfg"
+            cfg.write_text(f"n_s = {n_s}\nkappa = {kappa}\nn_b = {n_b}\n", encoding="ascii")
+            for gain in ("auto", "bhatt", "1.005", "1e20", "1e200"):
+                argv = self.COMMANDS[command] + ["--config", str(cfg), "--gain", gain,
+                                                 "--out", str(tmp_path / "out")]
+                assert main(argv) in (0, 1, 2), (n_s, kappa, n_b, gain)
+                capsys.readouterr()
 
 
 class TestErrorCurve:
@@ -480,17 +520,46 @@ class TestGoldenBytes:
             "4aa78a0dad9e67fd7d538fee2d216fbb69258e331cacb9e82d3b1edd52997fb4",
     }
 
-    @pytest.mark.parametrize("run", sorted(RUNS))
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_sha256(self, tmp_path, capsys, scenario, run):
-        argv, name, keep = self.RUNS[run]
-        argv = argv + ["--out", str(tmp_path)]
+    # meta.txt and stdout of the same runs.  Left out as eigh-derived: the
+    # helstrom single-shot note and the r_q_numeric stdout line.  The out
+    # directory is replaced by <out> in stdout.
+    GOLDEN_META_STDOUT = {
+        ("bright_scan", "bounds"):
+            "80dd6494ed0b277823dcf8c4d83100d572132181aef1826015d60a0a16149ffd",
+        ("bright_scan", "exponents"):
+            "538f2f33bec5f5037d6a84b5c8f3605407bc425e3c409ed71f5a867391b104e8",
+        ("bright_scan", "helstrom"):
+            "dc58a39c10f06a7d356d420afccd833f9fe9b478ab1c58d6e73768fffd35f415",
+        ("bright_scan", "sweep_gain"):
+            "f6332b0d9c587e4510926b897a115817a9b260d519255798db75fbdd8effdcff",
+        ("bright_scan", "sweep_n_b"):
+            "9f1eb5cd57bdbd07745268a3e2836be9088a31af4690017ad74be2e8de9a0955",
+        ("default", "bounds"):
+            "c2e2f4b4f1d12f7873042612ce1c95248604cf8d0e1f8ba25ad29e2c93cfb446",
+        ("default", "exponents"):
+            "7a80e1da11173db373e829f120106aecf8d5fca3376d03920ce3ee25120fb42f",
+        ("default", "helstrom"):
+            "6f0cecc7b49a7ee4dbcd00e8b160f540c5999666fde2e7a8c33d43f136392105",
+        ("default", "sweep_gain"):
+            "bf3f8ba7d9b617615f142f9851b85c1793d5a5c30cb7dbc39ccfa5ac6f72f9ff",
+        ("default", "sweep_n_b"):
+            "1635af45e95454bb01100e405772755abfaaf5fe8ff8f8ac6cf25abba4efe27d",
+    }
+
+    def run_command(self, tmp_path, capsys, scenario, run):
+        argv = self.RUNS[run][0] + ["--out", str(tmp_path)]
         if self.SCENARIOS[scenario] is not None:
             cfg = tmp_path / "scenario.cfg"
             cfg.write_text(self.SCENARIOS[scenario], encoding="ascii")
             argv += ["--config", str(cfg)]
         assert main(argv) == 0
-        capsys.readouterr()
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_sha256(self, tmp_path, capsys, scenario, run):
+        self.run_command(tmp_path, capsys, scenario, run)
+        _, name, keep = self.RUNS[run]
         path = tmp_path / name
         if run == "exponents":
             lines = path.read_text(encoding="ascii").splitlines(keepends=True)
@@ -501,3 +570,13 @@ class TestGoldenBytes:
         else:
             digest = columns_sha(path, keep)
         assert digest == self.GOLDEN[scenario, run]
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_meta_and_stdout_sha256(self, tmp_path, capsys, scenario, run):
+        stdout = self.run_command(tmp_path, capsys, scenario, run).replace(str(tmp_path), "<out>")
+        meta = (tmp_path / "meta.txt").read_text(encoding="ascii")
+        kept = [line for line in (meta + stdout).splitlines(keepends=True)
+                if not line.startswith(("note=helstrom single shot:", "r_q_numeric "))]
+        digest = hashlib.sha256("".join(kept).encode("ascii")).hexdigest()
+        assert digest == self.GOLDEN_META_STDOUT[scenario, run]

@@ -258,7 +258,7 @@ class TestReadOnlyBlocks:
     def test_hand_built_blocks_are_copied_and_frozen(self, small_pair):
         rho0 = small_pair[0]
         source = {d: b.copy() for d, b in rho0.blocks.items()}
-        state = JointState(blocks=source, trunc=rho0.trunc, hypothesis="H0")
+        state = JointState(blocks=source, trunc=rho0.trunc)
         source[0][0, 0] = 1.0
         assert state.blocks[0][0, 0] == rho0.blocks[0][0, 0]
         with pytest.raises(ValueError):
@@ -268,10 +268,10 @@ class TestReadOnlyBlocks:
         rho0 = small_pair[0]
         missing = {d: b for d, b in rho0.blocks.items() if d != 3}
         with pytest.raises(DomainError):
-            JointState(blocks=missing, trunc=rho0.trunc, hypothesis="H0")
+            JointState(blocks=missing, trunc=rho0.trunc)
         wrong = {**rho0.blocks, 0: np.eye(2)}
         with pytest.raises(DomainError):
-            JointState(blocks=wrong, trunc=rho0.trunc, hypothesis="H0")
+            JointState(blocks=wrong, trunc=rho0.trunc)
 
 
 class TestBuildRho0:
@@ -355,7 +355,6 @@ class TestMoments:
         half = JointState(
             blocks={d: 0.5 * b for d, b in rho0.blocks.items()},
             trunc=ref_trunc,
-            hypothesis="H0",
         )
         with pytest.raises(DomainError):
             moments_check(half)

@@ -397,7 +397,7 @@ class TestOpaErrorGaussian:
 class TestOptimizeGain:
     def test_reference_optimum(self):
         opt = optimize_gain(REF)
-        assert not opt.degenerate
+        assert opt.g_star is not None
         assert opt.g_star == pytest.approx(1.0050090653144212, rel=1e-9)
         assert opt.r_opa == pytest.approx(1.966053381836999e-6, rel=1e-9)
 
@@ -427,7 +427,6 @@ class TestOptimizeGain:
 
     def test_kappa_zero_degenerate(self):
         opt = optimize_gain(ScenarioParams(0.01, 0.0, 20.0))
-        assert opt.degenerate
         assert opt.g_star is None
         assert opt.r_opa == 0.0
 
@@ -531,12 +530,10 @@ def synthetic_orthogonal_pair():
     rho0 = JointState(
         blocks={-1: zero.copy(), 0: np.diag([1.0, 0.0]), 1: zero.copy()},
         trunc=trunc,
-        hypothesis="H0",
     )
     rho1 = JointState(
         blocks={-1: zero.copy(), 0: np.diag([0.0, 1.0]), 1: zero.copy()},
         trunc=trunc,
-        hypothesis="H1",
     )
     return rho0, rho1
 
@@ -598,7 +595,6 @@ class TestHelstromOracle:
             blocks={d: b - 1e-13 * np.eye(b.shape[0]) if d > 400 else b
                     for d, b in rho1.blocks.items()},
             trunc=rho1.trunc,
-            hypothesis="H1",
         )
         got = helstrom_single_shot(rho0, leaky)
         pe, p01, p10, clamped = helstrom_oracle(rho0, leaky)
@@ -656,7 +652,6 @@ class TestHelstrom:
         half = JointState(
             blocks={d: 0.5 * b for d, b in rho0.blocks.items()},
             trunc=rho0.trunc,
-            hypothesis="H0",
         )
         with pytest.raises(DomainError):
             helstrom_single_shot(half, rho0)
