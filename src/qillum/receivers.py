@@ -12,12 +12,16 @@ so deciding between hypotheses reduces to thresholding a total count over
 K mode pairs: negative binomial for a photon-number-resolving detector,
 Binomial(K, N/(1+N)) for a click detector.  The count likelihood ratio
 grows with the count, so the error-minimizing threshold is the first count
-at which it reaches one, a closed form evaluated once per K.  Both count
-laws, and the binomial majority vote over single-pair Helstrom decisions,
-have regularized incomplete-beta tails, so one threshold test
-(_threshold_error) serves all three and keeps far tails accurate in a
-relative sense; Gaussian approximations and log-domain variants are
-provided for cross-checks and large K.
+at which it reaches one, a closed form evaluated once per K.  It is taken
+in floats, and kept when the ratio it ceils lies farther from an integer
+than a wide margin over its rounding-error bound (which assumes a libm
+log1p within 1 ulp); the rare near ties fall back to 50-digit decimal
+logs.  Both count laws, and the binomial
+majority vote over single-pair Helstrom decisions, have regularized
+incomplete-beta tails, so one threshold test (_threshold_error) serves all
+three and keeps far tails accurate in a relative sense; Gaussian
+approximations and log-domain variants are provided for cross-checks and
+large K.
 """
 
 from __future__ import annotations
@@ -54,10 +58,12 @@ __all__ = [
 
 _LN10 = math.log(10.0)
 _LR_CONTEXT = Context(prec=50)  # decimal arithmetic for likelihood-ratio thresholds
+_LR_MARGIN = 1e-12  # relative distance from an integer that certifies a float threshold
 _GAIN_MIN_EXCESS = 1e-9
 _GAIN_MAX = 1.5
 _GAIN_REL_TOL = 1e-4
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # smallest normal float
 
 
 def half_erfc_sqrt(y: float) -> Tuple[float, float]:
@@ -179,11 +185,50 @@ def _lr_threshold(n0: float, n1: float, K: int, clicks: bool) -> int:
         t ln r >= K ln((1+N1)/(1+N0))
 
     is the Bayes threshold at equal priors; on a tie the lower threshold
-    wins.  The logs are taken in 50-digit decimal arithmetic on the exact
-    binary inputs, so a ratio that lands within float rounding of an
-    integer still rounds up the right way.  For clicks ln r exceeds the
-    right-hand log, so t <= K.
+    wins.  For clicks ln r exceeds the right-hand log, so t <= K.
+
+    The ratio is first taken in floats from D = N1 - N0, through logs that
+    cannot cancel: ln((1+N1)/(1+N0)) = log1p(D/(1+N0)), and ln r =
+    log1p(D/(N0(1+N1))) for counts (r - 1 = D/(N0(1+N1)) exactly) or
+    log1p(D/N0) for clicks.  Rounding bound, with u = 2**-53 and both
+    log1p arguments normal floats, to first order in u:
+
+      - each float operation adds at most u of relative error: D one, the
+        numerator's argument two more (1+N0, the division), the count
+        denominator's three more (1+N1, the product, the division; the
+        click denominator's one);
+      - log1p has condition number a/((1+a) log1p(a)) <= 1 for a > 0, so
+        it passes that error on undiminished, and adds 1 ulp (2u) of its
+        own, assuming a libm log1p within 1 ulp (glibc's measured bound,
+        not a guarantee; other libms are unchecked): 5u and 6u on the
+        two logs;
+      - K (exact below 2**53, else one more u), the product and the
+        quotient bring the float ratio within 14u < 1.6e-15 of the exact
+        ratio, relatively.
+
+    So when the float ratio lies farther than _LR_MARGIN * max(1, ratio),
+    about 600 times that bound, from every integer, its ceiling is the
+    exact one; the headroom covers a log1p a few ulps worse than assumed.  Every other case takes _lr_threshold_exact: a near tie, a
+    ratio above 5e11 (where the margin reaches 1/2), a subnormal log1p
+    argument, an overflow, N0 <= 0 or N1 <= N0.
     """
+    if n0 > 0.0 and n1 > n0:
+        delta = n1 - n0
+        a = delta / (1.0 + n0)
+        b = delta / n0 if clicks else delta / (n0 * (1.0 + n1))
+        if a >= _TINY and b >= _TINY:
+            ratio = K * math.log1p(a) / math.log1p(b)
+            if math.isfinite(ratio):
+                t = math.ceil(ratio)
+                if min(t - ratio, ratio - t + 1.0) > _LR_MARGIN * max(1.0, ratio):
+                    return t
+    return _lr_threshold_exact(n0, n1, K, clicks)
+
+
+def _lr_threshold_exact(n0: float, n1: float, K: int, clicks: bool) -> int:
+    """_lr_threshold with the logs taken in 50-digit decimal arithmetic on
+    the exact binary inputs, so a ratio that lands within float rounding of
+    an integer still rounds up the right way."""
     c = _LR_CONTEXT
     d0, d1 = Decimal(n0), Decimal(n1)
     e0, e1 = c.add(d0, 1), c.add(d1, 1)

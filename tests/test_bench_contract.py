@@ -75,10 +75,19 @@ def test_check_reference_names_resolve():
     assert 0.0 < q_min < 1.0 and exponent > 0.0 and 0.0 <= s_star <= 1.0
 
 
-def test_cli_import_loads_no_test_oracle():
+def modules_loaded_by_cli_import(prefixes):
+    """Modules starting with one of prefixes that a fresh `import qillum.cli` loads."""
     code = ("import sys, qillum.cli; "
-            "print(sorted(m for m in ('mpmath', 'oracles') if m in sys.modules))")
+            f"print(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))")
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_test_oracle():
+    assert modules_loaded_by_cli_import(["mpmath", "oracles"]) == "[]"
+
+
+def test_cli_import_loads_no_scipy_linalg():
+    assert modules_loaded_by_cli_import(["scipy.linalg"]) == "[]"

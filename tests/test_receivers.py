@@ -26,6 +26,7 @@ from qillum import (
     qcb,
     resolve_gain,
 )
+from qillum import receivers
 from qillum.fockspace import JointState
 from qillum.receivers import _lr_threshold
 
@@ -304,6 +305,20 @@ class TestHugeGain:
                 assert pe <= 0.5
 
 
+@pytest.fixture()
+def exact_calls(monkeypatch):
+    """Arguments of every threshold that takes the 50-digit Decimal route."""
+    calls = []
+    exact = receivers._lr_threshold_exact
+
+    def recording(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(receivers, "_lr_threshold_exact", recording)
+    return calls
+
+
 class TestLikelihoodRatioThreshold:
     """optimal_scan's closed-form threshold against the brute-force scan and
     against its defining inequality evaluated in mpmath."""
@@ -332,13 +347,29 @@ class TestLikelihoodRatioThreshold:
 
     @pytest.mark.parametrize("clicks", [False, True])
     @pytest.mark.parametrize("k", [1, 10, 10**3, 10**6, 10**8])
-    def test_smallest_integer_solving_the_inequality(self, k, clicks):
+    def test_smallest_integer_solving_the_inequality(self, k, clicks, exact_calls):
         stats = opa_output_means(REF, G_REF)
         t = _lr_threshold(stats.n0, stats.n1, k, clicks)
         assert t - 1 < mp_lr_ratio(stats.n0, stats.n1, k, clicks) <= t
+        assert exact_calls == []  # the float route certifies ordinary ratios
+
+    def test_oracle_sweep(self, exact_calls):
+        """Seeded draws with n_b up to 1e4, G - 1 down to 1e-9 and K from 1
+        to 1e8: every threshold, from the float route or the Decimal
+        fallback, is the smallest integer at or above the 50-digit ratio."""
+        rng = np.random.default_rng(20091105)
+        draws = 2000
+        for i in range(draws):
+            params = ScenarioParams(n_s=10 ** rng.uniform(-4, 0), kappa=10 ** rng.uniform(-4, 0),
+                                    n_b=10 ** rng.uniform(-2, 4))
+            stats = opa_output_means(params, 1.0 + 10 ** rng.uniform(-9, math.log10(0.5)))
+            k, clicks = int(10 ** rng.uniform(0, 8)), bool(i % 2)
+            t = _lr_threshold(stats.n0, stats.n1, k, clicks)
+            assert t - 1 < mp_lr_ratio(stats.n0, stats.n1, k, clicks) <= t
+        assert len(exact_calls) <= draws // 100  # near ties are rare
 
     @pytest.mark.parametrize("clicks", [False, True])
-    def test_near_integer_ratio(self, clicks):
+    def test_near_integer_ratio(self, clicks, exact_calls):
         """Pick N1 so that K ln((1+N1)/(1+N0)) / ln r lands within 1e-13 of
         an integer, on either side; a float evaluation cannot resolve that."""
         k = 1000
@@ -355,6 +386,7 @@ class TestLikelihoodRatioThreshold:
             sides.add(gap > 0)
             assert _lr_threshold(n0, n1, k, clicks) == (m + 1 if gap > 0 else m)
         assert sides == {False, True}
+        assert len(exact_calls) == 3  # no float ratio resolves a gap below 1e-13
 
     def test_numpy_integer_copies(self):
         pe, rule = opa_error_exact(REF, G_REF, np.int64(1000), "optimal_scan")
