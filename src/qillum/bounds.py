@@ -2,10 +2,12 @@
 
 The s-overlap Q_s = Tr(rho0^s rho1^(1-s)) is evaluated spectrally: both
 states are eigendecomposed once, after which every s costs one weighted
-quadratic form per block.  The blocks of the entangled pair are batched by
-size, so each state takes one batched ``eigh`` per distinct block size and
-each Q_s one ``einsum`` per size; a dense single-mode benchmark is the
-one-block case.  The cached form Q_s = sum_ij M_ij w0_i^s w1_j^(1-s) has
+quadratic form per block.  Each state takes one batched ``eigh`` over
+its zero-padded block stack, and each Q_s one ``einsum``; a dense
+single-mode benchmark is the one-block case.  Padding only adds zero
+eigenvalues: they vanish on 0 < s < 1, and at s = 0 or 1 (0**0 = 1) the
+rows and columns of M still sum to one, so Q_0 = Tr rho1, Q_1 = Tr rho0.
+The cached form Q_s = sum_ij M_ij w0_i^s w1_j^(1-s) has
 M >= 0 and clipped w >= 0, so on (0, 1) every nonzero term is log-linear in
 s and the sum is log-convex, hence unimodal: one golden section finds the
 Chernoff minimum.  Zero eigenvalues enter only at s = 0 or 1 (0**0 = 1),
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -49,44 +51,40 @@ _FLAT_Q_TOL = 1e-12  # treat 1 - Q below this as "states indistinguishable"
 
 # --- spectral plumbing -------------------------------------------------------
 
-def _pair_groups(rho0, rho1) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Normalize a state pair into matching (count, size, size) batches."""
+def _pair_stacks(rho0, rho1) -> Tuple[np.ndarray, np.ndarray]:
+    """The pair as two matching (n_blocks, m, m) stacks; a dense pair is one block."""
     if isinstance(rho0, JointState) and isinstance(rho1, JointState):
         if rho0.trunc != rho1.trunc:
             raise DomainError("state pair must share one TruncationSpec")
-        return list(zip(rho0.size_groups(), rho1.size_groups()))
+        return rho0.stack, rho1.stack
     a = np.asarray(rho0, dtype=float)
     b = np.asarray(rho1, dtype=float)
     if a.ndim != 2 or a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise DomainError("single-mode states must be equal-shape square matrices")
-    return [(a[np.newaxis], b[np.newaxis])]
+    return a[np.newaxis], b[np.newaxis]
 
 
 class _SpectralPair:
     """Cached eigensystems of a state pair for repeated Q_s evaluation.
 
-    Keeps, per size group, the stacked clamped spectra w0, w1 and squared
-    overlap matrices M_ij = |<u_i | v_j>|^2, so that
+    Keeps the stacked clamped spectra w0, w1 of the two states and the
+    squared overlap matrices M_ij = |<u_i | v_j>|^2, one per block, so that
     Q_s = sum over blocks of w0^s . M . w1^(1-s).
     """
 
     def __init__(self, rho0, rho1):
-        self.terms = []
-        for b0, b1 in _pair_groups(rho0, rho1):
-            w0, u0 = np.linalg.eigh(b0)
-            w1, u1 = np.linalg.eigh(b1)
-            np.clip(w0, 0.0, None, out=w0)
-            np.clip(w1, 0.0, None, out=w1)
-            overlap_sq = np.matmul(u0.transpose(0, 2, 1), u1)
-            np.square(overlap_sq, out=overlap_sq)
-            self.terms.append((w0, w1, overlap_sq))
+        b0, b1 = _pair_stacks(rho0, rho1)
+        w0, u0 = np.linalg.eigh(b0)
+        w1, u1 = np.linalg.eigh(b1)
+        self.w0 = np.clip(w0, 0.0, None, out=w0)
+        self.w1 = np.clip(w1, 0.0, None, out=w1)
+        overlap_sq = np.matmul(u0.transpose(0, 2, 1), u1)
+        self.overlap_sq = np.square(overlap_sq, out=overlap_sq)
 
     def q_s(self, s: float) -> float:
         # per-block contributions, summed exactly so their order cannot matter
-        return math.fsum(np.concatenate([
-            np.einsum("bi,bij,bj->b", np.power(w0, s), m, np.power(w1, 1.0 - s))
-            for w0, w1, m in self.terms
-        ]).tolist())
+        return math.fsum(np.einsum("bi,bij,bj->b", np.power(self.w0, s), self.overlap_sq,
+                                   np.power(self.w1, 1.0 - s)).tolist())
 
     def chernoff(self) -> Tuple[float, float, float]:
         """(s_star, q_min, q_half): the search behind qcb."""

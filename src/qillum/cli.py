@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import __version__
 from .bounds import asymptotic_exponents, error_prob_bounds, overlaps, qcb
 from .errors import DomainError, ParseError, QIError
 from .fockspace import TruncationSpec, build_rho0, build_rho1
@@ -97,7 +98,7 @@ def _write_outputs(args, params: ScenarioParams, receiver: ReceiverConfig,
     lines = [f"# params={digest}", ",".join(columns)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    meta = ["tool=qillum 0.1.0", f"command={args.command}", f"params_digest={digest}"]
+    meta = [f"tool=qillum {__version__}", f"command={args.command}", f"params_digest={digest}"]
     meta.extend(render_config(params, receiver).splitlines())
     meta.extend(f"{key}={extra[key]}" for key in sorted(extra) if key != "command")
     meta.extend(f"note={note}" for note in notes)
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qillum",
         description="Entangled vs classical target-detection error bounds and receivers.",
     )
-    parser.add_argument("--version", action="version", version="qillum 0.1.0")
+    parser.add_argument("--version", action="version", version=f"qillum {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_bounds = commands.add_parser(

@@ -8,9 +8,10 @@ return mode may need several hundred levels when the background is bright,
 while the idler stays within a handful, so this layout keeps everything at
 desk scale.
 
-The blocks live in one read-only, zero-padded ``(n_blocks, m, m)`` stack
-with m = n_i_max + 1, and the builders fill it one (column, offset) pair at
-a time across all blocks at once, so no Python loop runs per block.
+The blocks live in one read-only ``(n_blocks, m, m)`` stack with
+m = n_i_max + 1, each block in the top-left corner of its slice and zeros
+outside it.  The builders fill it one (column, offset) pair at a time
+across all blocks at once, so no Python loop runs per block.
 Matrix elements are accumulated as log magnitudes (log-factorials from one
 ``gammaln`` table) and exponentiated once; factorials of a few hundred
 never appear in linear form.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -75,7 +76,8 @@ class TruncationSpec:
     def for_params(cls, params, tail_tol: float = 1e-9) -> "TruncationSpec":
         """Tolerance-driven cutoffs for a scenario: the return mode is cut
         where the thermal background tail drops below tail_tol, the idler
-        where the signal marginal does."""
+        where the signal marginal does.  The return cutoff bounds the H0
+        tail only: under H1 the return mean is kappa n_s + n_b."""
         return cls(
             n_r_max=thermal_cutoff(params.n_b, tail_tol),
             n_i_max=thermal_cutoff(params.n_s, tail_tol),
@@ -146,7 +148,8 @@ class JointState:
     n2 = max(0,-d) .. min(n_i_max, n_r_max - d); the paired return number is
     n2 + d.  Every block is a read-only view into ``stack``, the blocks
     zero-padded into one (n_blocks, n_i_max+1, n_i_max+1) array at position
-    k = d + n_i_max.  Hand-built states pass only blocks (one per d, of the
+    k = d + n_i_max: zeros outside each block's corner, which the spectral
+    layers rely on.  Hand-built states pass only blocks (one per d, of the
     right size); they are copied into a fresh stack.
     """
 
@@ -159,19 +162,6 @@ class JointState:
             stack = _stack_from_blocks(self.blocks, self.trunc)
             object.__setattr__(self, "stack", stack)
             object.__setattr__(self, "blocks", _block_views(stack, self.trunc))
-
-    def size_groups(self) -> List[np.ndarray]:
-        """The blocks batched by size: one (count, size, size) array per
-        distinct block size, in increasing size.  Padding never enters.  A
-        size whose blocks sit next to each other in the stack (the widest
-        one, which holds nearly every block) comes as a view, not a copy."""
-        _, _, size = _block_layout(self.trunc)
-        groups = []
-        for s in np.unique(size).tolist():
-            k = np.flatnonzero(size == s)
-            rows = slice(k[0], k[-1] + 1) if k[-1] - k[0] + 1 == k.size else k
-            groups.append(self.stack[rows, :s, :s])
-        return groups
 
     def trace(self) -> float:
         return math.fsum(self.stack.diagonal(axis1=1, axis2=2).ravel().tolist())

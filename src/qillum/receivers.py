@@ -368,8 +368,8 @@ def opa_bhattacharyya(params, G: float) -> Tuple[float, float, float]:
     if denom <= 0.0 or (denom <= 1.0 and n1 > n0):
         raise DomainError(f"gain G={G!r} too large: Q_B no longer resolves "
                           f"N0={n0!r} from N1={n1!r}")
-    q_b = 1.0 / denom
-    r_b_exact = math.log(denom)
+    # identical count laws (kappa = 0) are exact: 1/((1+N0) - N0) may round above 1
+    q_b, r_b_exact = (1.0, 0.0) if n1 == n0 else (1.0 / denom, math.log(denom))
 
     eps2 = G - 1.0
     n_s, kappa, n_b = params.n_s, params.kappa, params.n_b
@@ -385,11 +385,6 @@ def opa_bhattacharyya(params, G: float) -> Tuple[float, float, float]:
 
 # --- optimal joint measurement ----------------------------------------------
 
-def _exact_sum(parts) -> float:
-    """Correctly rounded sum of a list of arrays, whatever their order."""
-    return math.fsum(np.concatenate(parts))
-
-
 def helstrom_single_shot(rho0: JointState, rho1: JointState) -> HelstromResult:
     """Optimal-measurement error for one mode pair.
 
@@ -401,8 +396,11 @@ def helstrom_single_shot(rho0: JointState, rho1: JointState) -> HelstromResult:
 
     intact.  Only the average is guaranteed to stay at or below 1/2; for
     nearly identical states one conditional rate can land slightly above.
-    Blocks of one size share a batched eigensolve, and every sum over
-    blocks is taken exactly (math.fsum), so block order cannot matter.
+    One batched eigensolve covers the zero-padded stacks of rho1 - rho0,
+    rho0 and rho1, and every sum is exact (math.fsum).  Padded eigenvalues
+    of rho1 - rho0 join the half-weight zero cluster, where the states
+    vanish, so they add nothing whatever basis the solver picks there;
+    those of rho0 and rho1 are exactly 0 and leave the clamped mass alone.
     """
     if not (isinstance(rho0, JointState) and isinstance(rho1, JointState)):
         raise DomainError("helstrom_single_shot needs two JointStates")
@@ -412,36 +410,24 @@ def helstrom_single_shot(rho0: JointState, rho1: JointState) -> HelstromResult:
     if tr0 < 1.0 - 1e-6 or tr1 < 1.0 - 1e-6:
         raise DomainError(f"state traces too small ({tr0:.8f}, {tr1:.8f})")
 
-    # One batched eigensolve per block size covers rho1 - rho0 and, for the
-    # clamped-mass report, the negative leakage of both states.
-    groups = list(zip(rho0.size_groups(), rho1.size_groups()))
-    spectra = []
-    leaked = []  # negative eigenvalues of the two states, as magnitudes
-    for b0, b1 in groups:
-        n = b0.shape[0]
-        w, v = np.linalg.eigh(np.concatenate((b1 - b0, b0, b1)))
-        spectra.append((w[:n], v[:n]))
-        leaked.append(-w[n:][w[n:] < 0.0])
-    w_max = max(float(np.abs(w).max()) for w, _ in spectra)
+    # the states' negative eigenvalues are the clamped-mass report
+    b0, b1 = rho0.stack, rho1.stack
+    w, v = np.linalg.eigh(np.concatenate((b1 - b0, b0, b1)))
+    n = b0.shape[0]
+    w, v, w_states = w[:n], v[:n], w[n:]
 
     # Absolute floor: for identical states every eigenvalue is cancellation
     # noise (~1e-15) and a purely relative cut would classify that noise as
     # signal, biasing p01/p10 arbitrarily.  Genuine eigenvalues below 1e-14
     # contribute less than dim * 1e-14 to any reported probability.
-    ztol = max(1e-12 * w_max, 1e-14)
-    gamma_plus, p01, tr_pi_rho1 = [], [], []
-    for (b0, b1), (w, v) in zip(groups, spectra):
-        # projector weight per eigenvector: 1 positive, 1/2 zero, 0 negative
-        weight = np.where(w > ztol, 1.0, np.where(np.abs(w) <= ztol, 0.5, 0.0))
-        gamma_plus.append((weight * w).ravel())
-        p01.append((weight * np.einsum("bji,bjk,bki->bi", v, b0, v)).ravel())
-        tr_pi_rho1.append((weight * np.einsum("bji,bjk,bki->bi", v, b1, v)).ravel())
-
+    ztol = max(1e-12 * float(np.abs(w).max()), 1e-14)
+    # projector weight per eigenvector: 1 positive, 1/2 zero, 0 negative
+    weight = np.where(w > ztol, 1.0, np.where(np.abs(w) <= ztol, 0.5, 0.0))
     return HelstromResult(
-        pe_single=0.5 * (1.0 - _exact_sum(gamma_plus)),
-        p01=_exact_sum(p01),
-        p10=1.0 - _exact_sum(tr_pi_rho1),
-        clamped_mass=_exact_sum(leaked),
+        pe_single=0.5 * (1.0 - math.fsum((weight * w).ravel())),
+        p01=math.fsum((weight * np.einsum("bji,bjk,bki->bi", v, b0, v)).ravel()),
+        p10=1.0 - math.fsum((weight * np.einsum("bji,bjk,bki->bi", v, b1, v)).ravel()),
+        clamped_mass=math.fsum(-w_states[w_states < 0.0]),
     )
 
 

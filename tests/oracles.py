@@ -157,7 +157,7 @@ def hermiticity_defect(state) -> float:
 
 
 def min_eigenvalue(state) -> float:
-    return float(min(np.linalg.eigvalsh(g).min() for g in state.size_groups()))
+    return float(min(np.linalg.eigvalsh(b).min() for b in state.blocks.values()))
 
 
 # --- photon-count pmfs ----------------------------------------------------

@@ -104,7 +104,7 @@ def q_s_oracle(rho0, rho1, svals):
 
 
 class TestSpectralCacheOracle:
-    """The size-batched spectral cache against the per-block loop."""
+    """The spectral cache on the padded block stack against the per-block loop."""
 
     SVALS = np.linspace(0.0, 1.0, 11).tolist()
 
@@ -120,14 +120,14 @@ class TestSpectralCacheOracle:
         pair = self._check(rho0, rho1)
         assert abs(pair.q_s(0.0) - rho1.trace()) <= 1e-15
         assert abs(pair.q_s(1.0) - rho0.trace()) <= 1e-15
-        # one batch per block size, and nothing else
-        sizes = {b.shape[0] for b in rho0.blocks.values()}
-        assert sorted(w0.shape[1] for w0, _, _ in pair.terms) == sorted(sizes)
-        assert sum(w0.shape[0] for w0, _, _ in pair.terms) == len(rho0.blocks)
+        # one batch that covers every block, at the width of the widest one
+        width = max(b.shape[0] for b in rho0.blocks.values())
+        assert pair.w0.shape == pair.w1.shape == (len(rho0.blocks), width)
+        assert pair.overlap_sq.shape == (len(rho0.blocks), width, width)
 
     def test_dense_coherent_pair_is_one_group(self, coherent_pair):
         pair = self._check(*coherent_pair)
-        assert len(pair.terms) == 1 and pair.terms[0][0].shape[0] == 1
+        assert pair.w0.shape[0] == 1 and pair.overlap_sq.shape[0] == 1
 
     def test_identical_states(self, spdc_pair):
         self._check(spdc_pair[0], spdc_pair[0])
@@ -136,6 +136,25 @@ class TestSpectralCacheOracle:
         q_half, q_min = overlaps(*spdc_pair)
         assert q_half == q_s(*spdc_pair, 0.5)
         assert q_min == qcb(*spdc_pair)[1]
+
+
+class TestPaddedStack:
+    """Q_s on a pair whose every block is zero-padded in the stack."""
+
+    def test_pair_is_padded_everywhere(self, padded_pair):
+        rho0, _ = padded_pair
+        assert (rho0.trunc.n_r_max, rho0.trunc.n_i_max) == (11, 14)
+        m = rho0.stack.shape[1]
+        sizes = [b.shape[0] for b in rho0.blocks.values()]
+        assert len(sizes) == 26 and max(sizes) < m and len(set(sizes)) == 12
+
+    def test_endpoints_are_traces(self, padded_pair):
+        """0**0 = 1 at s = 0 and 1 lets every padded eigenvalue in; the
+        row and column sums of M keep the endpoints at the traces."""
+        rho0, rho1 = padded_pair
+        pair = _SpectralPair(rho0, rho1)
+        assert abs(pair.q_s(0.0) - rho1.trace()) <= 1e-15
+        assert abs(pair.q_s(1.0) - rho0.trace()) <= 1e-15
 
 
 class TestQcb:

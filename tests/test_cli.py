@@ -122,26 +122,39 @@ class TestBoundsCommand:
         assert sum(1 for line in meta if line.startswith("command=")) == 1
 
 
-class TestBoundsDecomposition:
-    def test_eigh_calls_per_block_size(self, tmp_path, monkeypatch):
-        """A default bounds run decomposes each state once: one batched eigh
-        per distinct block size and state, shared by Q_half and Q_min."""
-        shapes = []
-        eigh = np.linalg.eigh
+@pytest.fixture()
+def eigh_shapes(monkeypatch):
+    """Shape of the argument of every numpy eigh call."""
+    shapes = []
+    eigh = np.linalg.eigh
 
-        def counting_eigh(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return shapes
+
+
+class TestOneEigensolvePerState:
+    """Each state's zero-padded block stack is decomposed in one call."""
+
+    PARAMS = ScenarioParams(n_s=0.01, kappa=0.01, n_b=20.0)  # the CLI default
+
+    def stack_shape(self):
+        trunc = TruncationSpec.for_params(self.PARAMS, 1e-9)
+        return build_rho0(self.PARAMS, trunc).stack.shape
+
+    def test_bounds_decomposes_each_state_once(self, tmp_path, eigh_shapes):
+        """Q_half and Q_min share one eigh per state."""
         assert main(["bounds", "--out", str(tmp_path)]) == 0
-        params = ScenarioParams(n_s=0.01, kappa=0.01, n_b=20.0)  # the CLI default
-        blocks = build_rho0(params, TruncationSpec.for_params(params, 1e-9)).blocks
-        sizes = {b.shape[0] for b in blocks.values()}
-        assert len(sizes) == 5
-        assert len(shapes) <= 2 * len(sizes)
-        # together the batches cover every block of both states exactly once
-        assert sum(shape[0] for shape in shapes) == 2 * len(blocks)
+        assert eigh_shapes == [self.stack_shape()] * 2
+
+    def test_helstrom_is_one_eigensolve(self, tmp_path, eigh_shapes):
+        """rho1 - rho0, rho0 and rho1 go through one stacked eigh."""
+        assert main(["helstrom", "--out", str(tmp_path)]) == 0
+        n_blocks, m, _ = self.stack_shape()
+        assert eigh_shapes == [(3 * n_blocks, m, m)]
 
 
 class TestHelstromCommand:
@@ -310,6 +323,16 @@ class TestExponentsCommand:
         assert table["db_r_q_vs_r_c"] == "-"
         assert float(table["r_q_numeric"]) == 0.0
         assert float(table["r_opa"]) == 0.0
+
+    @pytest.mark.parametrize("gain", ["1.0001", "1.005", "1.3", "bhatt"])
+    def test_kappa_zero_explicit_gain_has_zero_r_b(self, tmp_path, capsys, gain):
+        """Identical count laws print r_b_exact = 0.0 exactly, never a
+        rounding-level negative exponent."""
+        cfg = tmp_path / "dark.cfg"
+        cfg.write_text("n_s = 0.01\nkappa = 0\nn_b = 5\n", encoding="ascii")
+        assert main(["exponents", "--config", str(cfg), "--gain", gain]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [row[1] for row in rows if row[0] == "r_b_exact"] == ["0.0"]
 
     def test_csv_mirror_uses_nan_for_undefined(self, tmp_path, capsys):
         cfg = tmp_path / "dark.cfg"

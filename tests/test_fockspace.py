@@ -412,8 +412,8 @@ class TestBlockEigendecompose:
         """The Chernoff layer clamps each state's spectrum at zero; the
         Helstrom result reports how much negative leakage that was."""
         assert 0.0 <= helstrom_single_shot(*small_pair).clamped_mass <= 1e-8
-        for w0, w1, _ in _SpectralPair(*small_pair).terms:
-            assert np.all(w0 >= 0.0) and np.all(w1 >= 0.0)
+        pair = _SpectralPair(*small_pair)
+        assert np.all(pair.w0 >= 0.0) and np.all(pair.w1 >= 0.0)
 
     def test_rejects_mismatched_truncation(self, small_pair, spdc_pair):
         with pytest.raises(DomainError):

@@ -470,6 +470,14 @@ class TestOpaBhattacharyya:
         assert abs(r_ex) <= 1e-15
         assert r_sm == 0.0
 
+    @pytest.mark.parametrize("gain", [1.0001, 1.005, 1.3, "bhatt"])
+    def test_kappa_zero_is_exactly_zero(self, gain):
+        """Identical count laws give q_b = 1 and r_b_exact = 0 exactly; the
+        closed form would round 1/((1+N0) - N0) above one at some gains."""
+        params = ScenarioParams(0.01, 0.0, 5.0)
+        g, _ = resolve_gain(params, gain)
+        assert opa_bhattacharyya(params, g)[:2] == (1.0, 0.0)
+
     def test_closed_form_equals_series(self):
         """Q_B from the closed form against a direct sqrt(p0 p1) summation."""
         q_b, _, _ = opa_bhattacharyya(REF, G_REF)
@@ -599,7 +607,7 @@ def helstrom_oracle(rho0, rho1):
 
 
 class TestHelstromOracle:
-    """Size-batched Helstrom against the per-block loop."""
+    """Helstrom on the padded block stack against the per-block loop."""
 
     def _check(self, rho0, rho1):
         got = helstrom_single_shot(rho0, rho1)
@@ -615,6 +623,9 @@ class TestHelstromOracle:
 
     def test_identical_states(self, spdc_pair):
         self._check(spdc_pair[0], spdc_pair[0])
+
+    def test_every_block_padded(self, padded_pair):
+        self._check(*padded_pair)
 
     def test_orthogonal_supports(self):
         self._check(*synthetic_orthogonal_pair())
