@@ -12,9 +12,11 @@ The blocks live in one read-only ``(n_blocks, m, m)`` stack with
 m = n_i_max + 1, each block in the top-left corner of its slice and zeros
 outside it.  The builders fill it one (column, offset) pair at a time
 across all blocks at once, so no Python loop runs per block.
-Matrix elements are accumulated as log magnitudes (log-factorials from one
-``gammaln`` table) and exponentiated once; factorials of a few hundred
-never appear in linear form.
+
+The target-present channel is pure loss then a quantum-limited amplifier,
+both with positive Kraus sums, so each rho1 element is one short positive
+series: no branch, no cancellation.  Elements are summed as log magnitudes
+and exponentiated once; large factorials enter only as ratios.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, TruncationError
 
@@ -187,91 +188,63 @@ def build_rho0(params, trunc: TruncationSpec) -> JointState:
     return _new_state(stack, trunc)
 
 
-def _hyp2f1_rows(n1: np.ndarray, n2: np.ndarray, l: int, z: float,
-                 log_fact: np.ndarray) -> np.ndarray:
-    """Terminating Gauss series 2F1(-n1, -n2; -(n1 + n2 + l); z) elementwise
-    over index arrays; log_fact[n] = ln n!.
-
-    For 0 < z < 1 the direct series alternates and can cancel many digits,
-    so it goes through the Pfaff transform on the smaller index, whose terms
-    are all positive; z = 1 is the Chu-Vandermonde closed form, and z < 0
-    makes the direct series positive term by term.  build_rho1 never asks
-    for z > 1.  The at most n_i_max + 1 series terms are summed in log form,
-    one logaddexp per term index j across all elements.  The scalar
-    reference it is tested against, hypergeom_2f1_terminating, lives in
-    tests/oracles.py.
-    """
-    nb = np.minimum(n1, n2)
-    c = n1 + n2 + l
-    if z == 0.0:
-        return np.ones(nb.shape)
-    if z == 1.0:  # Chu-Vandermonde
-        cv = np.exp(log_fact[c - n2] + log_fact[c - n1] - log_fact[c] - log_fact[c - n1 - n2])
-        return np.where(nb == 0, 1.0, cv)
-    if z < 0.0:  # direct series, all terms positive
-        a, b = n1, n2
-        log_w, log_pre = math.log(-z), 0.0
-    else:  # Pfaff transform on the smaller index
-        a, b = nb, c - np.maximum(n1, n2)
-        log_w, log_pre = math.log(z) - math.log1p(-z), math.log1p(-z)
-    acc = np.zeros(nb.shape)  # the j = 0 term is exactly 1
-    for j in range(1, int(nb.max(initial=0)) + 1):
-        term = (
-            (log_fact[a] - log_fact[np.maximum(a - j, 0)])
-            + (log_fact[b] - log_fact[np.maximum(b - j, 0)])
-            - (log_fact[c] - log_fact[np.maximum(c - j, 0)])
-            - log_fact[j]
-            + j * log_w
-        )
-        acc = np.where(nb >= j, np.logaddexp(acc, term), acc)
-    return np.exp(nb * log_pre + acc)
-
-
 def build_rho1(params, trunc: TruncationSpec) -> JointState:
     """Target-present state: the reflected signal mixes with the background
     at transmissivity kappa while the idler is retained.
 
-    Element with row (n1+l, n2+l) and column (n1, n2), l >= 0:
+    That channel is pure loss eta = kappa/G followed by a quantum-limited
+    amplifier of gain G = 1 + n_b (Caruso, Giovannetti & Holevo, NJP 8, 310
+    (2006)).  Loss takes k photons and the amplifier adds q = k + d, so in
+    block d the element with row (i+d, i) and column (j+d, j), i = j + l,
+    l >= 0, is a sum of positive Kraus products (p_n the idler pmf):
 
-        sqrt(n1! n2! / ((n1+l)! (n2+l)!)) * sqrt(p_{n2+l} p_{n2}) * kappa**(l/2)
-        * (n1+n2+l)! / (n1! n2!)
-        * (n_b+1-kappa)**n2 * n_b**n1 / (n_b+1)**(n1+n2+l+1)
-        * 2F1(-n1, -n2; -(n1+n2+l); 1 - kappa/(n_b (n_b+1-kappa)))
+        sqrt(p_i p_j) / G * sum_t sqrt(i! j! (i+d)! (j+d)!) / (k! q! (i-k)! (j-k)!)
+                              * (eta/G)**((i+j)/2 - k) * (1-eta)**k * (n_b/G)**q
 
-    with p_n the idler pmf; l < 0 follows from symmetry.  Each (column c,
-    offset l) position is filled in every block that has it with one array
-    expression.  Requires n_b > 0 (the zero-background limit concentrates
-    the series argument and is rejected rather than approximated).
+    with k = lo + t, q = q0 + t, t = 0 .. j - lo, lo = max(0, -d) and
+    q0 = max(d, 0); l < 0 follows from symmetry.  No term is negative, so
+    nothing cancels and no argument range needs its own formula.  The
+    return factorials enter only as (i+d)!/q! and (j+d)!/q!, from one
+    cumulative sum of ln(q0 + r) per block, so no log-factorial above
+    n_i_max appears.  Each (column c, offset l) position is filled in every
+    block at once; at kappa = 0 only t = c, l = 0 survives.  Requires n_b > 0.
     """
     if params.n_b == 0.0:
         raise DomainError("build_rho1 requires n_b > 0")
     trunc.validate_for(params)
 
     n_s, kappa, n_b = params.n_s, params.kappa, params.n_b
-    log_kappa = math.log(kappa) if kappa > 0.0 else -math.inf
-    log_nb = math.log(n_b)
-    log_nb1 = math.log1p(n_b)
-    log_nbk = math.log(n_b + 1.0 - kappa)
-    z = 1.0 - kappa / (n_b * (n_b + 1.0 - kappa))
-    lf = gammaln(np.arange(trunc.n_r_max + trunc.n_i_max + 1) + 1.0)  # lf[n] = ln n!
+    log_g = math.log1p(n_b)
+    log_eta_g = math.log(kappa) - 2.0 * log_g if kappa > 0.0 else 0.0  # kappa = 0: eta**0 terms only
+    log_loss = math.log1p(-kappa / (1.0 + n_b))  # ln(1 - eta)
+    log_gain = -math.log1p(1.0 / n_b)  # ln(n_b / G)
 
     d, lo, size = _block_layout(trunc)
+    q0 = lo + d
     m = trunc.n_i_max + 1
-    log_pmf = _log_thermal_weights(np.arange(m), n_s)
+    lf = np.array([math.lgamma(n + 1.0) for n in range(m)])  # lf[n] = ln n!
+    log_rise = np.log(q0[:, None] + np.arange(1.0, m))
+    lr = np.pad(np.cumsum(log_rise, axis=1), ((0, 0), (1, 0)))  # lr[:, a] = ln((q0+a)!/q0!)
+    half = 0.5 * (_log_thermal_weights(np.arange(m), n_s) + lf)  # ln sqrt(p_n n!)
     stack = np.zeros((d.size, m, m))
     for c in range(m):
         for l in range(m - c if kappa > 0.0 else 1):
             rows = size > c + l
-            n2 = lo[rows] + c
-            n1 = n2 + d[rows]
-            log_elem = (
-                0.5 * (lf[n1] + lf[n2] - lf[n1 + l] - lf[n2 + l])
-                + 0.5 * (log_pmf[n2 + l] + log_pmf[n2])
-                + (0.5 * l * log_kappa if l > 0 else 0.0)
-                + lf[n1 + n2 + l] - lf[n1] - lf[n2]
-                + n2 * log_nbk + n1 * log_nb - (n1 + n2 + l + 1) * log_nb1
+            j = lo[rows] + c
+            i = j + l
+            lr_rows = lr[rows]
+            fixed = half[i] + half[j] + 0.5 * (lr_rows[:, c + l] + lr_rows[:, c]) - log_g
+            # the series over t, one row per term, summed as a log-sum-exp
+            t = np.arange(0 if kappa > 0.0 else c, c + 1)
+            k = lo[rows] + t[:, None]
+            terms = (
+                -lf[k] - lf[i - k] - lf[j - k] - lr_rows[:, t].T
+                + (c + 0.5 * l - t[:, None]) * log_eta_g
+                + k * log_loss + (q0[rows] + t[:, None]) * log_gain
             )
-            elem = np.exp(log_elem) * _hyp2f1_rows(n1, n2, l, z, lf)
+            top = terms.max(axis=0)
+            acc = top + np.log(np.exp(terms - top).sum(axis=0))
+            elem = np.exp(fixed + acc)
             stack[rows, c + l, c] = elem
             stack[rows, c, c + l] = elem  # state is real-symmetric
     return _new_state(stack, trunc)

@@ -138,7 +138,6 @@ class HelstromResult:
     pe_single: float
     p01: float
     p10: float
-    clamped_mass: float
 
     def __post_init__(self):
         slack = 1e-9
@@ -396,11 +395,10 @@ def helstrom_single_shot(rho0: JointState, rho1: JointState) -> HelstromResult:
 
     intact.  Only the average is guaranteed to stay at or below 1/2; for
     nearly identical states one conditional rate can land slightly above.
-    One batched eigensolve covers the zero-padded stacks of rho1 - rho0,
-    rho0 and rho1, and every sum is exact (math.fsum).  Padded eigenvalues
-    of rho1 - rho0 join the half-weight zero cluster, where the states
-    vanish, so they add nothing whatever basis the solver picks there;
-    those of rho0 and rho1 are exactly 0 and leave the clamped mass alone.
+    One batched eigensolve covers the zero-padded stack of rho1 - rho0,
+    and every sum is exact (math.fsum).  Padded eigenvalues join the
+    half-weight zero cluster, where the states vanish, so they add nothing
+    whatever basis the solver picks there.
     """
     if not (isinstance(rho0, JointState) and isinstance(rho1, JointState)):
         raise DomainError("helstrom_single_shot needs two JointStates")
@@ -410,11 +408,8 @@ def helstrom_single_shot(rho0: JointState, rho1: JointState) -> HelstromResult:
     if tr0 < 1.0 - 1e-6 or tr1 < 1.0 - 1e-6:
         raise DomainError(f"state traces too small ({tr0:.8f}, {tr1:.8f})")
 
-    # the states' negative eigenvalues are the clamped-mass report
     b0, b1 = rho0.stack, rho1.stack
-    w, v = np.linalg.eigh(np.concatenate((b1 - b0, b0, b1)))
-    n = b0.shape[0]
-    w, v, w_states = w[:n], v[:n], w[n:]
+    w, v = np.linalg.eigh(b1 - b0)
 
     # Absolute floor: for identical states every eigenvalue is cancellation
     # noise (~1e-15) and a purely relative cut would classify that noise as
@@ -427,7 +422,6 @@ def helstrom_single_shot(rho0: JointState, rho1: JointState) -> HelstromResult:
         pe_single=0.5 * (1.0 - math.fsum((weight * w).ravel())),
         p01=math.fsum((weight * np.einsum("bji,bjk,bki->bi", v, b0, v)).ravel()),
         p10=1.0 - math.fsum((weight * np.einsum("bji,bjk,bki->bi", v, b1, v)).ravel()),
-        clamped_mass=math.fsum(-w_states[w_states < 0.0]),
     )
 
 

@@ -1,9 +1,10 @@
 """Scalar reference implementations that the tests compare the library against.
 
 None of these runs in a CLI command, so they live with the tests: the
-element-by-element 2F1 series behind build_rho1's array form, the moment
-and dense-matrix probes of a JointState, its health checks, and the two
-photon-count pmfs.  The library never imports this module.
+terminating 2F1 series of the closed form that build_rho1's elements are
+checked against, the moment and dense-matrix probes of a JointState, its
+health checks, and the two photon-count pmfs.  The library never imports
+this module.
 """
 
 import math
@@ -51,11 +52,12 @@ def hypergeom_2f1_terminating(n1: int, n2: int, c_mag: int, z: float) -> float:
     are accumulated as a log-sum-exp.  z == 1 uses the Chu-Vandermonde
     closed form.  Negative z makes the direct series positive term by term.
     z > 1 is rejected: there the series alternates without a positive
-    rewrite, and build_rho1 never asks for it (its z = 1 - kappa/(n_b
-    (n_b + 1 - kappa)) stays at or below 1).
+    rewrite, and the rho1 closed form never asks for it (its
+    z = 1 - kappa/(n_b (n_b + 1 - kappa)) stays at or below 1).
 
-    The scalar reference for ``fockspace._hyp2f1_rows``, which evaluates
-    the same branches on whole arrays.
+    The scalar oracle of the closed-form rho1 elements that
+    ``fockspace.build_rho1`` is checked against; the library itself sums a
+    different, positive series and evaluates no 2F1.
     """
     for name, v in (("n1", n1), ("n2", n2), ("c_mag", c_mag)):
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0:

@@ -151,10 +151,9 @@ class TestOneEigensolvePerState:
         assert eigh_shapes == [self.stack_shape()] * 2
 
     def test_helstrom_is_one_eigensolve(self, tmp_path, eigh_shapes):
-        """rho1 - rho0, rho0 and rho1 go through one stacked eigh."""
+        """Only rho1 - rho0 is decomposed, in one stacked eigh."""
         assert main(["helstrom", "--out", str(tmp_path)]) == 0
-        n_blocks, m, _ = self.stack_shape()
-        assert eigh_shapes == [(3 * n_blocks, m, m)]
+        assert eigh_shapes == [self.stack_shape()]
 
 
 class TestHelstromCommand:
