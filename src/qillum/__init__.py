@@ -31,10 +31,7 @@ from .fockspace import (
     thermal_state,
 )
 from .receivers import (
-    DecisionRule,
-    GainOptimum,
     HelstromResult,
-    OpaStatistics,
     half_erfc_sqrt,
     helstrom_single_shot,
     homodyne_error,
@@ -88,9 +85,6 @@ __all__ = [
     "error_prob_bounds",
     "asymptotic_exponents",
     # receivers
-    "OpaStatistics",
-    "DecisionRule",
-    "GainOptimum",
     "HelstromResult",
     "half_erfc_sqrt",
     "homodyne_error",

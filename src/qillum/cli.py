@@ -30,13 +30,13 @@ from .bounds import asymptotic_exponents, error_prob_bounds, overlaps, qcb
 from .errors import DomainError, ParseError, QIError
 from .fockspace import TruncationSpec, build_rho0, build_rho1
 from .receivers import (
+    _r_opa,
     half_erfc_sqrt,
     helstrom_single_shot,
     homodyne_error,
     majority_vote_error,
     opa_bhattacharyya,
     opa_error_exact,
-    opa_error_gaussian,
     optimize_gain,
     resolve_gain,
 )
@@ -247,7 +247,7 @@ def cmd_bounds(args, params: ScenarioParams, receiver: ReceiverConfig, ks: List[
     def pair_columns(trunc, rho0, rho1, gain):
         q_half_q, q_qcb_q = overlaps(rho0, rho1)
         q_c = math.exp(-_coherent_exponent(params))  # Q_half = Q_min at s* = 1/2
-        _, r_opa = opa_error_gaussian(params, gain, 1)
+        r_opa = _r_opa(params, gain)
 
         def cells(k, log10_opa):
             b_c = error_prob_bounds(q_c, q_c, k)
@@ -295,7 +295,7 @@ def _opa_exponents(params: ScenarioParams,
     """
     if gain is None:
         return 0.0, 0.0, 0.0, None
-    _, r_opa = opa_error_gaussian(params, gain, 1)
+    r_opa = _r_opa(params, gain)
     _, r_b_exact, r_b_small = opa_bhattacharyya(params, gain)
     half_limit = params.kappa * params.n_s / (2.0 * params.n_b)
     r_b_ratio = r_b_exact / half_limit if half_limit > 0.0 else None
@@ -339,7 +339,7 @@ def cmd_exponents(args, params: ScenarioParams, receiver: ReceiverConfig, _grid)
         rows.append(("r_b_small_gain", r_b_small, "degenerate (kappa=0)"))
     else:
         # under gain=auto resolve_gain already ran the search
-        g_star = gain if receiver.gain == GAIN_AUTO else optimize_gain(params).g_star
+        g_star = gain if receiver.gain == GAIN_AUTO else optimize_gain(params)[0]
         rows.append(("g_star", g_star, "argmax of r_opa"))
         rows.append(("r_opa", r_opa, f"at G={gain!r}"))
         rows.append(("r_b_exact", r_b_exact, "-ln Q_B"))

@@ -76,19 +76,20 @@ class TruncationSpec:
     @classmethod
     def for_params(cls, params, tail_tol: float = 1e-9) -> "TruncationSpec":
         """Tolerance-driven cutoffs for a scenario: the return mode is cut
-        where the thermal background tail drops below tail_tol, the idler
-        where the signal marginal does.  The return cutoff bounds the H0
-        tail only: under H1 the return mean is kappa n_s + n_b."""
+        where the thermal tail of its H1 mean kappa n_s + n_b drops below
+        tail_tol, the idler where the signal marginal does.  The H0 return
+        mean n_b is never larger, so the cut bounds both hypotheses' tails."""
         return cls(
-            n_r_max=thermal_cutoff(params.n_b, tail_tol),
+            n_r_max=thermal_cutoff(params.kappa * params.n_s + params.n_b, tail_tol),
             n_i_max=thermal_cutoff(params.n_s, tail_tol),
             tail_tol=tail_tol,
         )
 
     def validate_for(self, params) -> None:
-        """Raise TruncationError if either cutoff leaves more than tail_tol."""
+        """Raise TruncationError if either cutoff leaves more than tail_tol
+        under either hypothesis (the return mode at its H1 mean)."""
         for label, mean, n in (
-            ("return", params.n_b, self.n_r_max),
+            ("return", params.kappa * params.n_s + params.n_b, self.n_r_max),
             ("idler", params.n_s, self.n_i_max),
         ):
             if mean == 0.0:

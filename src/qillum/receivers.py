@@ -40,9 +40,6 @@ from .gss import golden_section_min
 from .scenario import GAIN_AUTO, GAIN_BHATT, CountModel, ThresholdPolicy
 
 __all__ = [
-    "OpaStatistics",
-    "DecisionRule",
-    "GainOptimum",
     "HelstromResult",
     "half_erfc_sqrt",
     "homodyne_error",
@@ -91,87 +88,27 @@ def homodyne_error(params, K: int) -> Tuple[float, float]:
     return half_erfc_sqrt(y)
 
 
-# --- OPA output statistics ---------------------------------------------------
+# --- OPA receiver ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OpaStatistics:
-    """Per-mode output photon statistics of the OPA receiver."""
+def opa_output_means(params, G: float) -> Tuple[float, float]:
+    """Thermal means (N0, N1) of the OPA output mode under H0 and H1.
 
-    n0: float
-    n1: float
-    sigma0: float
-    sigma1: float
-
-    def __post_init__(self):
-        # one finite sum for the four values: this runs on every gain-search step
-        if not math.isfinite(self.n0 + self.n1 + self.sigma0 + self.sigma1):
-            raise DomainError(f"OPA output statistics overflow: n0={self.n0}, n1={self.n1}, "
-                              f"sigma0={self.sigma0}, sigma1={self.sigma1}")
-        if self.n1 < self.n0 - 1e-15:
-            raise DomainError(f"need n1 >= n0, got n0={self.n0}, n1={self.n1}")
-
-
-@dataclass(frozen=True)
-class DecisionRule:
-    """Decide target-present when the K-mode total count is >= threshold."""
-
-    threshold: int
-    degenerate: bool = False
-
-    def __post_init__(self):
-        if self.threshold < 0:
-            raise DomainError(f"threshold must be >= 0, got {self.threshold}")
-
-
-@dataclass(frozen=True)
-class GainOptimum:
-    """Result of the gain optimization; g_star is None when the objective is flat."""
-
-    g_star: Optional[float]
-    r_opa: float
-
-
-@dataclass(frozen=True)
-class HelstromResult:
-    """Single-copy optimal-measurement error and its conditional rates."""
-
-    pe_single: float
-    p01: float
-    p10: float
-
-    def __post_init__(self):
-        slack = 1e-9
-        if not -slack <= self.pe_single <= 0.5 + slack:
-            raise DomainError(f"pe_single must lie in [0, 1/2], got {self.pe_single}")
-        # The conditional rates are individually only bounded by 1: the optimal
-        # projector minimizes the average, and one leg may sit slightly above
-        # 1/2 when the two states are nearly identical.
-        for name in ("p01", "p10"):
-            v = getattr(self, name)
-            if not -slack <= v <= 1.0 + slack:
-                raise DomainError(f"{name} must lie in [0, 1], got {v}")
-        if abs(self.pe_single - 0.5 * (self.p01 + self.p10)) > 1e-12:
-            raise DomainError("pe_single inconsistent with (p01 + p10)/2")
-
-
-def opa_output_means(params, G: float) -> OpaStatistics:
-    """Thermal means and standard deviations of the OPA output mode."""
+    N1 is N0 plus two non-negative terms, so N1 >= N0.  The deviation of a
+    thermal mode of mean N is sqrt(N (N+1)); the larger one, at N1,
+    overflows first, so a non-finite N1 (N1 + 1) raises DomainError.
+    """
     if not math.isfinite(G) or G <= 1.0:
         raise DomainError(f"gain must satisfy G > 1, got {G}")
     n_s, kappa, n_b = params.n_s, params.kappa, params.n_b
-    base = G * n_s + (G - 1.0) * (1.0 + n_b)
-    n0 = base
+    n0 = G * n_s + (G - 1.0) * (1.0 + n_b)
     n1 = (
-        base
+        n0
         + (G - 1.0) * kappa * n_s
         + 2.0 * math.sqrt(G * (G - 1.0)) * math.sqrt(kappa * n_s * (n_s + 1.0))
     )
-    return OpaStatistics(
-        n0=n0,
-        n1=n1,
-        sigma0=math.sqrt(n0 * (n0 + 1.0)),
-        sigma1=math.sqrt(n1 * (n1 + 1.0)),
-    )
+    if not math.isfinite(n1 * (n1 + 1.0)):
+        raise DomainError(f"OPA output statistics overflow at G={G!r}: n0={n0}, n1={n1}")
+    return n0, n1
 
 
 def _lr_threshold(n0: float, n1: float, K: int, clicks: bool) -> int:
@@ -268,7 +205,7 @@ def _threshold_error(t: int, K: int, x0: float, y1: float, clicks: bool) -> floa
 
 def opa_error_exact(
     params, G: float, K: int, policy, count_model=CountModel.FULL_COUNTING
-) -> Tuple[float, DecisionRule]:
+) -> Tuple[float, Optional[int]]:
     """Exact threshold-test error of the OPA receiver over K mode pairs.
 
     count_model 'full_counting' thresholds the negative-binomial photon
@@ -276,9 +213,11 @@ def opa_error_exact(
     policy 'paper_formula' uses the Gaussian crossing threshold of the
     count law, from its per-mode mean and deviation; 'optimal_scan' uses
     the exact likelihood-ratio threshold, which minimizes the error over
-    all integer thresholds (the lowest minimizer on a tie).  Returns the
-    error and the rule.  kappa = 0 makes both count laws identical; that
-    case returns 1/2 with a degenerate rule instead of pretending to decide.
+    all integer thresholds (the lowest minimizer on a tie).  Returns
+    (P_e, t): the error and the integer threshold t of the test "decide
+    target-present when the K-mode total count is >= t".  kappa = 0 makes
+    both count laws identical; that case returns (1/2, None) instead of
+    pretending to decide.
 
     The tails see N0 and N1 only through 1 - x0 = 1/(1+N0) and y1 ~ 1/(1+N1),
     each rounded by at most eps.  At huge gains their gap shrinks to that
@@ -289,34 +228,35 @@ def opa_error_exact(
         raise DomainError(f"K must be >= 1, got {K}")
     policy = ThresholdPolicy(policy)
     clicks = CountModel(count_model) is CountModel.ON_OFF
-    stats = opa_output_means(params, G)
-    if stats.n1 == stats.n0:
-        return 0.5, DecisionRule(threshold=0, degenerate=True)
+    n0, n1 = opa_output_means(params, G)
+    if n1 == n0:
+        return 0.5, None
     # per-mode mean and deviation of the count law, and its tail arguments
-    q0 = stats.n0 / (1.0 + stats.n0)
+    q0 = n0 / (1.0 + n0)
     if clicks:
-        q1 = stats.n1 / (1.0 + stats.n1)
+        q1 = n1 / (1.0 + n1)
         m0, m1, y1 = q0, q1, 1.0 - q1
         s0, s1 = math.sqrt(q0 * (1.0 - q0)), math.sqrt(q1 * (1.0 - q1))
     else:
-        m0, m1, y1 = stats.n0, stats.n1, 1.0 / (1.0 + stats.n1)
-        s0, s1 = stats.sigma0, stats.sigma1
+        m0, m1, y1 = n0, n1, 1.0 / (1.0 + n1)
+        s0, s1 = math.sqrt(n0 * (n0 + 1.0)), math.sqrt(n1 * (n1 + 1.0))
     if (1.0 - q0) - y1 <= 2.0 * _EPS:
         raise DomainError(
             f"gain G={G!r} too large: the count tails no longer resolve "
-            f"N0={stats.n0!r} from N1={stats.n1!r}"
+            f"N0={n0!r} from N1={n1!r}"
         )
 
     if policy is ThresholdPolicy.PAPER_FORMULA:
         t = int(math.ceil(K * (s1 * m0 + s0 * m1) / (s0 + s1)))
     else:
-        t = _lr_threshold(stats.n0, stats.n1, K, clicks)
-    return _threshold_error(t, K, q0, y1, clicks), DecisionRule(threshold=t)
+        t = _lr_threshold(n0, n1, K, clicks)
+    return _threshold_error(t, K, q0, y1, clicks), t
 
 
 def _r_opa(params, G: float) -> float:
-    stats = opa_output_means(params, G)
-    return (stats.n1 - stats.n0) ** 2 / (2.0 * (stats.sigma0 + stats.sigma1) ** 2)
+    """R_OPA = (N1-N0)^2 / (2 (sigma0+sigma1)^2), sigma = sqrt(N (N+1))."""
+    n0, n1 = opa_output_means(params, G)
+    return (n1 - n0) ** 2 / (2.0 * (math.sqrt(n0 * (n0 + 1.0)) + math.sqrt(n1 * (n1 + 1.0))) ** 2)
 
 
 def opa_error_gaussian(params, G: float, K: int) -> Tuple[float, float]:
@@ -332,19 +272,19 @@ def opa_error_gaussian(params, G: float, K: int) -> Tuple[float, float]:
     return pe, r_opa
 
 
-def optimize_gain(params) -> GainOptimum:
+def optimize_gain(params) -> Tuple[Optional[float], float]:
     """Maximize R_OPA over G in (1, 1.5] by golden section on log(G-1).
 
-    The objective is flat when kappa = 0; that returns g_star = None
-    rather than a fake optimum.
+    Returns (g_star, r_opa).  The objective is flat when kappa = 0; that
+    returns (None, 0.0) rather than a fake optimum.
     """
     if params.kappa == 0.0:
-        return GainOptimum(g_star=None, r_opa=0.0)
+        return None, 0.0
     t_star, neg_best = golden_section_min(
         lambda t: -_r_opa(params, 1.0 + math.exp(t)),
         math.log(_GAIN_MIN_EXCESS), math.log(_GAIN_MAX - 1.0), _GAIN_REL_TOL,
     )
-    return GainOptimum(g_star=1.0 + math.exp(t_star), r_opa=-neg_best)
+    return 1.0 + math.exp(t_star), -neg_best
 
 
 def opa_bhattacharyya(params, G: float) -> Tuple[float, float, float]:
@@ -359,8 +299,7 @@ def opa_bhattacharyya(params, G: float) -> Tuple[float, float, float]:
         eps^2 kappa n_s (n_s+1) /
             (2 n_s (n_s+1) + 2 eps^2 (1+2 n_s)(1+n_s+n_b))
     """
-    stats = opa_output_means(params, G)
-    n0, n1 = stats.n0, stats.n1
+    n0, n1 = opa_output_means(params, G)
     denom = math.sqrt((1.0 + n0) * (1.0 + n1)) - math.sqrt(n0 * n1)
     # Every N1 > N0 has q_b < 1, so a denominator at or below 1 there (or at
     # or below 0 anywhere) means rounding ate N1 - N0.
@@ -383,6 +322,29 @@ def opa_bhattacharyya(params, G: float) -> Tuple[float, float, float]:
 
 
 # --- optimal joint measurement ----------------------------------------------
+
+@dataclass(frozen=True)
+class HelstromResult:
+    """Single-copy optimal-measurement error and its conditional rates."""
+
+    pe_single: float
+    p01: float
+    p10: float
+
+    def __post_init__(self):
+        slack = 1e-9
+        if not -slack <= self.pe_single <= 0.5 + slack:
+            raise DomainError(f"pe_single must lie in [0, 1/2], got {self.pe_single}")
+        # The conditional rates are individually only bounded by 1: the optimal
+        # projector minimizes the average, and one leg may sit slightly above
+        # 1/2 when the two states are nearly identical.
+        for name in ("p01", "p10"):
+            v = getattr(self, name)
+            if not -slack <= v <= 1.0 + slack:
+                raise DomainError(f"{name} must lie in [0, 1], got {v}")
+        if abs(self.pe_single - 0.5 * (self.p01 + self.p10)) > 1e-12:
+            raise DomainError("pe_single inconsistent with (p01 + p10)/2")
+
 
 def helstrom_single_shot(rho0: JointState, rho1: JointState) -> HelstromResult:
     """Optimal-measurement error for one mode pair.
@@ -472,10 +434,10 @@ def resolve_gain(params, gain_spec) -> Tuple[Optional[float], str]:
     """
     if isinstance(gain_spec, str):
         if gain_spec == GAIN_AUTO:
-            opt = optimize_gain(params)
-            if opt.g_star is None:
+            g_star, r_opa = optimize_gain(params)
+            if g_star is None:
                 return None, "gain optimization degenerate (kappa = 0)"
-            return opt.g_star, f"auto-optimized, R_OPA={opt.r_opa:.6e}"
+            return g_star, f"auto-optimized, R_OPA={r_opa:.6e}"
         if gain_spec == GAIN_BHATT:
             if params.n_b <= 0.0:
                 raise DomainError("gain preset 'bhatt' needs n_b > 0")

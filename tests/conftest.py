@@ -63,10 +63,10 @@ def nb_pairs(spdc_pair):
 
 @pytest.fixture(scope="session")
 def padded_pair():
-    """SPDC pair at (n_s, kappa, n_b) = (0.3, 0.5, 0.2), where n_i_max = 14
-    exceeds n_r_max = 11: every block is narrower than the stack, so each
-    one carries zero padding."""
-    params = ScenarioParams(n_s=0.3, kappa=0.5, n_b=0.2)
+    """SPDC pair at (n_s, kappa, n_b) = (0.3, 0.5, 0.05), where n_i_max = 14
+    exceeds n_r_max = 11 (cut at the H1 return mean 0.2): every block is
+    narrower than the stack, so each one carries zero padding."""
+    params = ScenarioParams(n_s=0.3, kappa=0.5, n_b=0.05)
     trunc = TruncationSpec.for_params(params, tail_tol=TAIL)
     return build_rho0(params, trunc), build_rho1(params, trunc)
 

@@ -89,21 +89,21 @@ def test_criterion_02_numeric_chernoff(spdc_pair, coherent_pair):
 
 
 def test_criterion_03_gain_optimization(ref_params):
-    opt = optimize_gain(ref_params)
-    excess = opt.g_star - 1.0
-    ok = abs(excess - 5e-3) <= 0.25 * 5e-3 and abs(opt.r_opa - 2e-6) <= 0.10 * 2e-6
+    g_star, r_opa = optimize_gain(ref_params)
+    excess = g_star - 1.0
+    ok = abs(excess - 5e-3) <= 0.25 * 5e-3 and abs(r_opa - 2e-6) <= 0.10 * 2e-6
     assert report(
         3, "gain optimization", ok,
-        f"g*-1={excess:.6e}, r_opa={opt.r_opa:.6e}",
+        f"g*-1={excess:.6e}, r_opa={r_opa:.6e}",
     )
 
 
 def test_criterion_04_bhattacharyya_consistency(ref_params):
     q_b, _, _ = opa_bhattacharyya(ref_params, 1.005)
-    st = opa_output_means(ref_params, 1.005)
+    n0, n1 = opa_output_means(ref_params, 1.005)
     n = np.arange(0, 2001)
     series = float(
-        np.sqrt(opa_count_pmf(st.n0, 1, n) * opa_count_pmf(st.n1, 1, n)).sum()
+        np.sqrt(opa_count_pmf(n0, 1, n) * opa_count_pmf(n1, 1, n)).sum()
     )
     ok_series = abs(q_b - series) <= 1e-10
     worst_margin = math.inf
@@ -119,8 +119,8 @@ def test_criterion_04_bhattacharyya_consistency(ref_params):
 
 
 def test_criterion_05_exponent_sandwich(ref_params):
-    opt = optimize_gain(ref_params)
-    pe, _ = opa_error_exact(ref_params, opt.g_star, 10**7, "optimal_scan")
+    g_star, _ = optimize_gain(ref_params)
+    pe, _ = opa_error_exact(ref_params, g_star, 10**7, "optimal_scan")
     measured = -math.log(2.0 * pe) / 1e7
     ratio = measured / 1.25e-6
     ok = 1.25e-6 < measured < 5e-6 and 1.4 <= ratio <= 2.2
@@ -152,15 +152,15 @@ def test_criterion_06_bright_background_bhattacharyya():
 
 
 def test_criterion_07_separable_helstrom(ref_params, ref_helstrom):
-    opt = optimize_gain(ref_params)
-    pe_opa_single, _ = opa_error_exact(ref_params, opt.g_star, 1, "optimal_scan")
+    g_star, _ = optimize_gain(ref_params)
+    pe_opa_single, _ = opa_error_exact(ref_params, g_star, 1, "optimal_scan")
     single_ok = ref_helstrom.pe_single < pe_opa_single
 
     grid = [10**4, 10**5, 10**6, 3 * 10**6, 10**7]
     excess = []
     for k in grid:
         maj = majority_vote_error(ref_helstrom.pe_single, ref_helstrom.pe_single, k)
-        opa, _ = opa_error_exact(ref_params, opt.g_star, k, "optimal_scan")
+        opa, _ = opa_error_exact(ref_params, g_star, k, "optimal_scan")
         excess.append(maj - opa)
     curve_ok = all(e <= 0.0 for e in excess)
 
@@ -170,7 +170,7 @@ def test_criterion_07_separable_helstrom(ref_params, ref_helstrom):
         for k in fit_ks
     ])
     ln_opa = np.array([
-        math.log(opa_error_exact(ref_params, opt.g_star, int(k), "optimal_scan")[0])
+        math.log(opa_error_exact(ref_params, g_star, int(k), "optimal_scan")[0])
         for k in fit_ks
     ])
     slope_ratio = float(np.polyfit(fit_ks, ln_maj, 1)[0] / np.polyfit(fit_ks, ln_opa, 1)[0])

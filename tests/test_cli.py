@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import subprocess
 import sys
 
@@ -188,6 +189,26 @@ class TestHelstromCommand:
         want = repr(math.log10(0.5))
         assert all(row[1:] == [want] * 3 for row in rows)
 
+    @pytest.mark.parametrize("n_b", [0.05, 0.2, 1.0, 3.0])
+    @pytest.mark.parametrize("kappa", [0.1, 0.5, 0.95])
+    @pytest.mark.parametrize("n_s", [0.05, 0.3, 1.0])
+    def test_return_cutoff_covers_the_target_present_state(self, tmp_path, n_s, kappa, n_b):
+        """The return cutoff follows the H1 mean kappa n_s + n_b, so rho1 is
+        never too short of unit trace, even with a bright idler on a dark
+        background, and the single-shot advantage 1 - 2 pe has converged
+        in the tail tolerance."""
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"n_s = {n_s}\nkappa = {kappa}\nn_b = {n_b}\n", encoding="ascii")
+        advantage = []
+        for tol in ("1e-9", "1e-12"):
+            out = tmp_path / tol
+            assert main(["helstrom", "--config", str(cfg), "--out", str(out), "--tail-tol", tol,
+                         "--k-min", "1", "--k-max", "9", "--k-points", "2"]) == 0
+            meta = (out / "meta.txt").read_text(encoding="ascii")
+            pe = float(re.search(r"^note=helstrom single shot: pe=(\S+)", meta, re.M)[1])
+            advantage.append(1.0 - 2.0 * pe)
+        assert abs(advantage[0] - advantage[1]) <= 1e-6 * advantage[1]
+
 
 class TestCountModel:
     """count_model picks the law behind the opa_exact column of bounds and
@@ -250,7 +271,7 @@ class TestOpaGaussianColumn:
         assert all(b <= a for a, b in zip(values, values[1:]))
 
         params = ScenarioParams(0.01, 0.3, 1.0)
-        pe, r_opa = opa_error_gaussian(params, optimize_gain(params).g_star, 10**8)
+        pe, r_opa = opa_error_gaussian(params, optimize_gain(params)[0], 10**8)
         assert pe == 0.0
         assert values[-1] == half_erfc_sqrt(r_opa * 10**8)[1]
 
@@ -508,6 +529,8 @@ class TestGoldenBytes:
     SCENARIOS = {
         "default": None,
         "bright_scan": "n_s = 0.01\nkappa = 0.3\nn_b = 1.0\nthreshold_policy = optimal_scan\n",
+        "click_bhatt": "n_s = 0.01\nkappa = 0.3\nn_b = 1.0\nthreshold_policy = optimal_scan\n"
+                       "count_model = on_off\ngain = bhatt\n",
     }
     RUNS = {
         "sweep_gain": (["sweep", "--axis", "gain", "--grid", "1.001,1.005,1.01,1.1"], "sweep.csv",
@@ -530,6 +553,16 @@ class TestGoldenBytes:
             "323942e46a510ebb7d6f15cafba01160da89f4cc373fffa8f11678d2a03a5bf6",
         ("bright_scan", "sweep_n_b"):
             "002ddee359b57d020d92f1408116a77fbaeabb7f46ebe658a3e4bb8520bf9432",
+        ("click_bhatt", "bounds"):
+            "70349054c4098f08db92866f7b9a4036ba49c9197574764961577e6669fa1188",
+        ("click_bhatt", "exponents"):
+            "92695a1fdf65cbd92fcfa259f76b92d16c875a501d0475d87b1f7c5d9e512a7b",
+        ("click_bhatt", "helstrom"):
+            "f5e9bfb7dfc1db0299e3c44ef63e09bdcaca30be4cc0ae621ddf19a9ada6b6db",
+        ("click_bhatt", "sweep_gain"):
+            "ab71217763b2dcfabdd4a965ea94963296ae3ae3cf782adccae47bf248f843ea",
+        ("click_bhatt", "sweep_n_b"):
+            "d940083410207786a9392e826a5c88aa83e360a6ef37ef9b8155f765bae7d7d8",
         ("default", "bounds"):
             "551e4f2156064ac0c73bf9cfeedd22ed15b28725ea52f81c5729499009ccc693",
         ("default", "exponents"):
@@ -556,6 +589,16 @@ class TestGoldenBytes:
             "f6332b0d9c587e4510926b897a115817a9b260d519255798db75fbdd8effdcff",
         ("bright_scan", "sweep_n_b"):
             "9f1eb5cd57bdbd07745268a3e2836be9088a31af4690017ad74be2e8de9a0955",
+        ("click_bhatt", "bounds"):
+            "c5d57aaab5e98e4a65f53eb6bd2a7e0d426748519c0bfc107605575b398165c8",
+        ("click_bhatt", "exponents"):
+            "76237235ee7effcf950dac0fdd778717532c1c4808efdf09bbd6db1460cd7194",
+        ("click_bhatt", "helstrom"):
+            "a6e70e9774d8515958bdf13d6a36f255335ae9033dda4af2032fe180b3314904",
+        ("click_bhatt", "sweep_gain"):
+            "5b2374a02131b9ed838233298627e45a4609a6353ba4d7af62a37252f27377dd",
+        ("click_bhatt", "sweep_n_b"):
+            "fcbc5736683e9e8a6a808d9c591ef4094b21e846c4712d8ad18784fd67896a4a",
         ("default", "bounds"):
             "c2e2f4b4f1d12f7873042612ce1c95248604cf8d0e1f8ba25ad29e2c93cfb446",
         ("default", "exponents"):

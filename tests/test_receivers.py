@@ -46,24 +46,24 @@ def _first_minimizer(ts, upper, lower):
     return int(ts[i]), float(pe[i])
 
 
-def scan_count_threshold(stats, K):
+def scan_count_threshold(n0, n1, K):
     """Brute-force oracle: every integer threshold within 12 pooled deviations
     of the means, first minimizer of the negative-binomial error wins."""
     sk = math.sqrt(K)
-    lo = max(0, math.floor(K * stats.n0 - SCAN_SIGMAS * stats.sigma0 * sk))
-    hi = math.ceil(K * stats.n1 + SCAN_SIGMAS * stats.sigma1 * sk)
+    lo = max(0, math.floor(K * n0 - SCAN_SIGMAS * math.sqrt(n0 * (n0 + 1.0)) * sk))
+    hi = math.ceil(K * n1 + SCAN_SIGMAS * math.sqrt(n1 * (n1 + 1.0)) * sk)
     ts = np.arange(lo, hi + 1, dtype=float)
     upper, lower = np.ones_like(ts), np.zeros_like(ts)
     pos = ts >= 1.0
-    upper[pos] = betainc(ts[pos], float(K), stats.n0 / (1.0 + stats.n0))
-    lower[pos] = betainc(float(K), ts[pos], 1.0 / (1.0 + stats.n1))
+    upper[pos] = betainc(ts[pos], float(K), n0 / (1.0 + n0))
+    lower[pos] = betainc(float(K), ts[pos], 1.0 / (1.0 + n1))
     return _first_minimizer(ts, upper, lower)
 
 
-def scan_click_threshold(stats, K):
+def scan_click_threshold(n0, n1, K):
     """The same oracle for Binomial(K, q_m) click counts, q_m = N_m/(1+N_m)."""
-    q0 = stats.n0 / (1.0 + stats.n0)
-    q1 = stats.n1 / (1.0 + stats.n1)
+    q0 = n0 / (1.0 + n0)
+    q1 = n1 / (1.0 + n1)
     sk = math.sqrt(K)
     lo = max(0, math.floor(K * q0 - SCAN_SIGMAS * math.sqrt(q0 * (1.0 - q0)) * sk))
     hi = min(K + 1, math.ceil(K * q1 + SCAN_SIGMAS * math.sqrt(q1 * (1.0 - q1)) * sk) + 1)
@@ -129,26 +129,32 @@ class TestHomodyne:
 
 class TestOpaOutputMeans:
     def test_reference_hand_values(self):
-        st = opa_output_means(REF, G_REF)
+        n0, n1 = opa_output_means(REF, G_REF)
         # N0 = 1.005*0.01 + 0.005*21, N1 adds the amplified cross term
-        assert st.n0 == pytest.approx(0.11505, rel=1e-12)
-        assert st.n1 == pytest.approx(0.1164753157775634, rel=1e-12)
-        assert st.n1 - st.n0 == pytest.approx(1.425e-3, rel=1e-3)
+        assert n0 == pytest.approx(0.11505, rel=1e-12)
+        assert n1 == pytest.approx(0.1164753157775634, rel=1e-12)
+        assert n1 - n0 == pytest.approx(1.425e-3, rel=1e-3)
 
-    def test_sigma_identity(self):
-        st = opa_output_means(REF, 1.02)
-        assert st.sigma0**2 == pytest.approx(st.n0 * (st.n0 + 1.0), rel=1e-15)
-        assert st.sigma1**2 == pytest.approx(st.n1 * (st.n1 + 1.0), rel=1e-15)
-        assert st.n1 >= st.n0
+    def test_n1_at_least_n0(self):
+        n0, n1 = opa_output_means(REF, 1.02)
+        assert n1 >= n0
 
     def test_kappa_zero_collapses(self):
-        st = opa_output_means(ScenarioParams(0.01, 0.0, 20.0), 1.3)
-        assert st.n1 == st.n0
+        n0, n1 = opa_output_means(ScenarioParams(0.01, 0.0, 20.0), 1.3)
+        assert n1 == n0
 
     def test_gain_off_limit(self):
-        st = opa_output_means(REF, 1.0 + 1e-12)
-        assert st.n0 == pytest.approx(REF.n_s, abs=1e-9)
-        assert st.n1 == pytest.approx(REF.n_s, abs=1e-7)
+        n0, n1 = opa_output_means(REF, 1.0 + 1e-12)
+        assert n0 == pytest.approx(REF.n_s, abs=1e-9)
+        assert n1 == pytest.approx(REF.n_s, abs=1e-7)
+
+    def test_overflow_boundary(self):
+        """sqrt(N1 (N1+1)) is the first statistic to overflow: G = 6e152 is
+        still accepted at the reference scenario, G = 7e152 is not."""
+        n0, n1 = opa_output_means(REF, 6e152)
+        assert math.isfinite(n1 * (n1 + 1.0))
+        with pytest.raises(DomainError, match="overflow"):
+            opa_output_means(REF, 7e152)
 
     @pytest.mark.parametrize("g", [1.0, 0.5, math.inf])
     def test_rejects_bad_gain(self, g):
@@ -193,24 +199,24 @@ class TestOpaCountPmf:
 
 class TestOpaErrorExact:
     def test_kappa_zero_degenerate(self):
-        pe, rule = opa_error_exact(ScenarioParams(0.01, 0.0, 20.0), G_REF, 5, "optimal_scan")
+        pe, t = opa_error_exact(ScenarioParams(0.01, 0.0, 20.0), G_REF, 5, "optimal_scan")
         assert pe == 0.5
-        assert rule.degenerate
+        assert t is None
 
     def test_k_one_three_threshold_enumeration(self):
         """At K=1 the optimal threshold must be the best of {0, 1, 2}."""
-        st = opa_output_means(REF, G_REF)
-        p0 = [1.0 / (1.0 + st.n0), st.n0 / (1.0 + st.n0) ** 2]
-        p1 = [1.0 / (1.0 + st.n1), st.n1 / (1.0 + st.n1) ** 2]
+        n0, n1 = opa_output_means(REF, G_REF)
+        p0 = [1.0 / (1.0 + n0), n0 / (1.0 + n0) ** 2]
+        p1 = [1.0 / (1.0 + n1), n1 / (1.0 + n1) ** 2]
         candidates = {
             0: 0.5,  # always decide target-present
             1: 0.5 * ((1.0 - p0[0]) + p1[0]),
             2: 0.5 * ((1.0 - p0[0] - p0[1]) + p1[0] + p1[1]),
         }
-        pe, rule = opa_error_exact(REF, G_REF, 1, "optimal_scan")
+        pe, t = opa_error_exact(REF, G_REF, 1, "optimal_scan")
         assert pe == min(candidates.values())
-        assert rule.threshold == 1
-        assert pe == 0.5 * (st.n0 / (1.0 + st.n0) + 1.0 / (1.0 + st.n1))
+        assert t == 1
+        assert pe == 0.5 * (n0 / (1.0 + n0) + 1.0 / (1.0 + n1))
 
     FROZEN_SCAN = {
         1: 0.49942754990836263,
@@ -249,8 +255,8 @@ class TestOpaErrorExact:
     def test_measured_exponent_at_ten_million(self):
         """Exponent read off K=1e7 at the optimized gain: sits between the
         classical and quantum closed forms, about 1.74x the classical one."""
-        opt = optimize_gain(REF)
-        pe, _ = opa_error_exact(REF, opt.g_star, 10**7, "optimal_scan")
+        g_star, _ = optimize_gain(REF)
+        pe, _ = opa_error_exact(REF, g_star, 10**7, "optimal_scan")
         assert pe == pytest.approx(1.7975858127120299e-10, rel=1e-6)
         measured = -math.log(2.0 * pe) / 1e7
         assert 1.25e-6 < measured < 5e-6
@@ -324,17 +330,17 @@ class TestLikelihoodRatioThreshold:
     against its defining inequality evaluated in mpmath."""
 
     def assert_matches_scan(self, params, G, K):
-        stats = opa_output_means(params, G)
-        t_scan, pe_scan = scan_count_threshold(stats, K)
-        pe, rule = opa_error_exact(params, G, K, "optimal_scan")
+        n0, n1 = opa_output_means(params, G)
+        t_scan, pe_scan = scan_count_threshold(n0, n1, K)
+        pe, t = opa_error_exact(params, G, K, "optimal_scan")
         if pe_scan > 0.0:
-            assert rule.threshold == t_scan
+            assert t == t_scan
             assert pe == pe_scan
-        t_scan, pe_scan = scan_click_threshold(stats, K)
+        t_scan, pe_scan = scan_click_threshold(n0, n1, K)
         if pe_scan > 0.0:
-            assert _lr_threshold(stats.n0, stats.n1, K, clicks=True) == t_scan
-            pe, rule = opa_error_exact(params, G, K, "optimal_scan", count_model="on_off")
-            assert rule.threshold == t_scan
+            assert _lr_threshold(n0, n1, K, clicks=True) == t_scan
+            pe, t = opa_error_exact(params, G, K, "optimal_scan", count_model="on_off")
+            assert t == t_scan
             assert pe == pe_scan
 
     @pytest.mark.parametrize("k", [1, 2, 3, 10, 10**3, 10**6])
@@ -343,14 +349,14 @@ class TestLikelihoodRatioThreshold:
 
     @pytest.mark.parametrize("k", BENCH_KS)
     def test_matches_scan_on_bright_return(self, k):
-        self.assert_matches_scan(BRIGHT, optimize_gain(BRIGHT).g_star, k)
+        self.assert_matches_scan(BRIGHT, optimize_gain(BRIGHT)[0], k)
 
     @pytest.mark.parametrize("clicks", [False, True])
     @pytest.mark.parametrize("k", [1, 10, 10**3, 10**6, 10**8])
     def test_smallest_integer_solving_the_inequality(self, k, clicks, exact_calls):
-        stats = opa_output_means(REF, G_REF)
-        t = _lr_threshold(stats.n0, stats.n1, k, clicks)
-        assert t - 1 < mp_lr_ratio(stats.n0, stats.n1, k, clicks) <= t
+        n0, n1 = opa_output_means(REF, G_REF)
+        t = _lr_threshold(n0, n1, k, clicks)
+        assert t - 1 < mp_lr_ratio(n0, n1, k, clicks) <= t
         assert exact_calls == []  # the float route certifies ordinary ratios
 
     def test_oracle_sweep(self, exact_calls):
@@ -362,10 +368,10 @@ class TestLikelihoodRatioThreshold:
         for i in range(draws):
             params = ScenarioParams(n_s=10 ** rng.uniform(-4, 0), kappa=10 ** rng.uniform(-4, 0),
                                     n_b=10 ** rng.uniform(-2, 4))
-            stats = opa_output_means(params, 1.0 + 10 ** rng.uniform(-9, math.log10(0.5)))
+            n0, n1 = opa_output_means(params, 1.0 + 10 ** rng.uniform(-9, math.log10(0.5)))
             k, clicks = int(10 ** rng.uniform(0, 8)), bool(i % 2)
-            t = _lr_threshold(stats.n0, stats.n1, k, clicks)
-            assert t - 1 < mp_lr_ratio(stats.n0, stats.n1, k, clicks) <= t
+            t = _lr_threshold(n0, n1, k, clicks)
+            assert t - 1 < mp_lr_ratio(n0, n1, k, clicks) <= t
         assert len(exact_calls) <= draws // 100  # near ties are rare
 
     @pytest.mark.parametrize("clicks", [False, True])
@@ -373,12 +379,11 @@ class TestLikelihoodRatioThreshold:
         """Pick N1 so that K ln((1+N1)/(1+N0)) / ln r lands within 1e-13 of
         an integer, on either side; a float evaluation cannot resolve that."""
         k = 1000
-        stats = opa_output_means(REF, G_REF)
-        n0 = stats.n0
-        m = int(mpmath.nint(mp_lr_ratio(n0, stats.n1, k, clicks)))
+        n0, n1_ref = opa_output_means(REF, G_REF)
+        m = int(mpmath.nint(mp_lr_ratio(n0, n1_ref, k, clicks)))
         with mpmath.workdps(50):
             root = float(mpmath.findroot(
-                lambda x: mp_lr_ratio(n0, x, k, clicks) - m, mpmath.mpf(stats.n1)))
+                lambda x: mp_lr_ratio(n0, x, k, clicks) - m, mpmath.mpf(n1_ref)))
         sides = set()
         for n1 in (math.nextafter(root, 0.0), root, math.nextafter(root, 1.0)):
             gap = mp_lr_ratio(n0, n1, k, clicks) - m
@@ -389,8 +394,8 @@ class TestLikelihoodRatioThreshold:
         assert len(exact_calls) == 3  # no float ratio resolves a gap below 1e-13
 
     def test_numpy_integer_copies(self):
-        pe, rule = opa_error_exact(REF, G_REF, np.int64(1000), "optimal_scan")
-        assert (pe, rule) == opa_error_exact(REF, G_REF, 1000, "optimal_scan")
+        pe, t = opa_error_exact(REF, G_REF, np.int64(1000), "optimal_scan")
+        assert (pe, t) == opa_error_exact(REF, G_REF, 1000, "optimal_scan")
         assert opa_error_exact(REF, G_REF, np.int64(1000), "optimal_scan", "on_off") == \
             opa_error_exact(REF, G_REF, 1000, "optimal_scan", "on_off")
 
@@ -398,12 +403,12 @@ class TestLikelihoodRatioThreshold:
         """Deep in the tail every threshold's error underflows to 0.0, so a
         scan cannot locate the minimum; the rule still reports the Bayes
         threshold."""
-        g = optimize_gain(BRIGHT).g_star
-        stats = opa_output_means(BRIGHT, g)
-        pe, rule = opa_error_exact(BRIGHT, g, 10**8, "optimal_scan")
+        g, _ = optimize_gain(BRIGHT)
+        n0, n1 = opa_output_means(BRIGHT, g)
+        pe, t = opa_error_exact(BRIGHT, g, 10**8, "optimal_scan")
         assert pe == 0.0
-        ratio = mp_lr_ratio(stats.n0, stats.n1, 10**8, clicks=False)
-        assert rule.threshold - 1 < ratio <= rule.threshold
+        ratio = mp_lr_ratio(n0, n1, 10**8, clicks=False)
+        assert t - 1 < ratio <= t
 
 
 class TestOpaErrorGaussian:
@@ -428,16 +433,16 @@ class TestOpaErrorGaussian:
 
 class TestOptimizeGain:
     def test_reference_optimum(self):
-        opt = optimize_gain(REF)
-        assert opt.g_star is not None
-        assert opt.g_star == pytest.approx(1.0050090653144212, rel=1e-9)
-        assert opt.r_opa == pytest.approx(1.966053381836999e-6, rel=1e-9)
+        g_star, r_opa = optimize_gain(REF)
+        assert g_star is not None
+        assert g_star == pytest.approx(1.0050090653144212, rel=1e-9)
+        assert r_opa == pytest.approx(1.966053381836999e-6, rel=1e-9)
 
     def test_optimum_dominates_nearby_gains(self):
-        opt = optimize_gain(REF)
+        _, r_opa = optimize_gain(REF)
         for g in (1.002, 1.005, 1.01):
             _, r = opa_error_gaussian(REF, g, 1)
-            assert opt.r_opa >= r - 1e-18
+            assert r_opa >= r - 1e-18
 
     def test_unimodal_bracket(self):
         rs = [opa_error_gaussian(REF, g, 1)[1] for g in (1.002, 1.005, 1.01)]
@@ -447,20 +452,20 @@ class TestOptimizeGain:
         """n_b = 1000: the optimum lands in [n_s/n_b, 10/n_b] and beats a
         200-point log-spaced scan of the same objective."""
         params = ScenarioParams(0.01, 0.01, 1000.0)
-        opt = optimize_gain(params)
-        excess = opt.g_star - 1.0
+        g_star, r_opa = optimize_gain(params)
+        excess = g_star - 1.0
         assert 1e-5 <= excess <= 1e-2
         grid = np.logspace(-6, math.log10(0.5), 200)
         scan = [opa_error_gaussian(params, 1.0 + float(e), 1)[1] for e in grid]
         i = int(np.argmax(scan))
-        assert opt.r_opa >= max(scan) - 1e-18
+        assert r_opa >= max(scan) - 1e-18
         step = grid[1] / grid[0]
         assert grid[i] / step <= excess <= grid[i] * step
 
     def test_kappa_zero_degenerate(self):
-        opt = optimize_gain(ScenarioParams(0.01, 0.0, 20.0))
-        assert opt.g_star is None
-        assert opt.r_opa == 0.0
+        g_star, r_opa = optimize_gain(ScenarioParams(0.01, 0.0, 20.0))
+        assert g_star is None
+        assert r_opa == 0.0
 
 
 class TestOpaBhattacharyya:
@@ -481,10 +486,10 @@ class TestOpaBhattacharyya:
     def test_closed_form_equals_series(self):
         """Q_B from the closed form against a direct sqrt(p0 p1) summation."""
         q_b, _, _ = opa_bhattacharyya(REF, G_REF)
-        st = opa_output_means(REF, G_REF)
+        n0, n1 = opa_output_means(REF, G_REF)
         n = np.arange(0, 2001)
         series = float(
-            np.sqrt(opa_count_pmf(st.n0, 1, n) * opa_count_pmf(st.n1, 1, n)).sum()
+            np.sqrt(opa_count_pmf(n0, 1, n) * opa_count_pmf(n1, 1, n)).sum()
         )
         assert abs(q_b - series) <= 1e-10
         assert q_b == pytest.approx(0.9999980339452015, rel=1e-12)
@@ -498,9 +503,9 @@ class TestOpaBhattacharyya:
         assert r_ex == pytest.approx(1.8636441303760594e-6, rel=1e-9)
 
     def test_exact_form_matches_gaussian_exponent_at_optimum(self):
-        opt = optimize_gain(REF)
-        _, r_ex, _ = opa_bhattacharyya(REF, opt.g_star)
-        assert abs(r_ex - opt.r_opa) / opt.r_opa <= 1e-4
+        g_star, r_opa = optimize_gain(REF)
+        _, r_ex, _ = opa_bhattacharyya(REF, g_star)
+        assert abs(r_ex - r_opa) / r_opa <= 1e-4
 
     EXACT_RATIOS = {
         1e2: 0.817421767095974,
@@ -538,15 +543,15 @@ class TestOpaBhattacharyya:
 
 class TestOpaErrorOnoff:
     def test_kappa_zero(self):
-        pe, rule = opa_error_exact(ScenarioParams(0.01, 0.0, 20.0), G_REF, 9, "optimal_scan",
-                                   count_model="on_off")
+        pe, t = opa_error_exact(ScenarioParams(0.01, 0.0, 20.0), G_REF, 9, "optimal_scan",
+                                count_model="on_off")
         assert pe == 0.5
-        assert rule.degenerate
+        assert t is None
 
     def test_k_one_click_enumeration(self):
-        st = opa_output_means(REF, G_REF)
-        q0 = st.n0 / (1.0 + st.n0)
-        q1 = st.n1 / (1.0 + st.n1)
+        n0, n1 = opa_output_means(REF, G_REF)
+        q0 = n0 / (1.0 + n0)
+        q1 = n1 / (1.0 + n1)
         candidates = {0: 0.5, 1: 0.5 * (q0 + 1.0 - q1), 2: 0.5 * 1.0}
         pe = opa_error_exact(REF, G_REF, 1, "optimal_scan", count_model="on_off")[0]
         assert pe == pytest.approx(min(candidates.values()), rel=1e-12)
@@ -666,8 +671,8 @@ class TestHelstrom:
         assert res.p10 == 0.0
 
     def test_beats_opa_at_any_gain(self, ref_helstrom):
-        opt = optimize_gain(REF)
-        for g in (1.0005, G_REF, opt.g_star, 1.05, 1.3):
+        g_star, _ = optimize_gain(REF)
+        for g in (1.0005, G_REF, g_star, 1.05, 1.3):
             pe_opa, _ = opa_error_exact(REF, g, 1, "optimal_scan")
             assert ref_helstrom.pe_single <= pe_opa + 1e-9
 
