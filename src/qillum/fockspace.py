@@ -8,10 +8,11 @@ return mode may need several hundred levels when the background is bright,
 while the idler stays within a handful, so this layout keeps everything at
 desk scale.
 
-The blocks live in one read-only ``(n_blocks, m, m)`` stack with
-m = n_i_max + 1, each block in the top-left corner of its slice and zeros
-outside it.  The builders fill it one (column, offset) pair at a time
-across all blocks at once, so no Python loop runs per block.
+A state is its read-only ``(n_blocks, m, m)`` stack, m = n_i_max + 1, with
+each block in the top-left corner of its slice and zeros outside it.  The
+builders fill it one (column, offset) pair at a time across all blocks at
+once.  Every consumer reads the stack; ``JointState.blocks`` builds per-d
+views on demand, for the tests and the benchmark tracer only.
 
 The target-present channel is pure loss then a quantum-limited amplifier,
 both with positive Kraus sums, so each rho1 element is one short positive
@@ -21,9 +22,10 @@ and exponentiated once; large factorials enter only as ratios.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -75,31 +77,27 @@ class TruncationSpec:
 
     @classmethod
     def for_params(cls, params, tail_tol: float = 1e-9) -> "TruncationSpec":
-        """Tolerance-driven cutoffs for a scenario: the return mode is cut
-        where the thermal tail of its H1 mean kappa n_s + n_b drops below
-        tail_tol, the idler where the signal marginal does.  The H0 return
-        mean n_b is never larger, so the cut bounds both hypotheses' tails."""
-        return cls(
-            n_r_max=thermal_cutoff(params.kappa * params.n_s + params.n_b, tail_tol),
-            n_i_max=thermal_cutoff(params.n_s, tail_tol),
-            tail_tol=tail_tol,
-        )
+        """Tolerance-driven cutoffs for a scenario: each mode is cut where
+        the thermal tail of its cut mean drops below tail_tol."""
+        n_r, n_i = (thermal_cutoff(mean, tail_tol) for mean in _cut_means(params))
+        return cls(n_r_max=n_r, n_i_max=n_i, tail_tol=tail_tol)
 
     def validate_for(self, params) -> None:
-        """Raise TruncationError if either cutoff leaves more than tail_tol
-        under either hypothesis (the return mode at its H1 mean)."""
-        for label, mean, n in (
-            ("return", params.kappa * params.n_s + params.n_b, self.n_r_max),
-            ("idler", params.n_s, self.n_i_max),
-        ):
-            if mean == 0.0:
-                continue
-            x = mean / (mean + 1.0)
-            tail = x ** (n + 1)
-            if tail > self.tail_tol:
+        """Raise TruncationError if either cutoff lies below the one
+        for_params picks, i.e. leaves more than tail_tol of its cut mean's tail."""
+        for label, mean, n in zip(("return", "idler"), _cut_means(params),
+                                  (self.n_r_max, self.n_i_max)):
+            if n < thermal_cutoff(mean, self.tail_tol):
+                tail = (mean / (mean + 1.0)) ** (n + 1)
                 raise TruncationError(
                     f"{label} cutoff {n} leaves tail mass {tail:.3e} > {self.tail_tol:.3e}"
                 )
+
+
+def _cut_means(params) -> Tuple[float, float]:
+    """(return, idler) means the modes are cut on: the return mode at its H1 mean
+    kappa n_s + n_b, never below the H0 mean n_b; the idler at the signal marginal n_s."""
+    return params.kappa * params.n_s + params.n_b, params.n_s
 
 
 def _log_thermal_weights(n: np.ndarray, mean: float) -> np.ndarray:
@@ -120,57 +118,51 @@ def _block_layout(trunc: TruncationSpec) -> Tuple[np.ndarray, np.ndarray, np.nda
     return d, lo, size
 
 
-def _stack_from_blocks(blocks: Dict[int, np.ndarray], trunc: TruncationSpec) -> np.ndarray:
-    """Copy hand-built blocks into a zero-padded stack, checking their layout."""
-    d, _, size = _block_layout(trunc)
-    if set(blocks) != set(d.tolist()):
-        raise DomainError("blocks must cover d = -n_i_max .. n_r_max exactly")
-    m = trunc.n_i_max + 1
-    stack = np.zeros((d.size, m, m))
-    for k, (dk, sk) in enumerate(zip(d.tolist(), size.tolist())):
-        block = np.asarray(blocks[dk], dtype=float)
-        if block.shape != (sk, sk):
-            raise DomainError(f"block {dk} must be {sk}x{sk}, got shape {block.shape}")
-        stack[k, :sk, :sk] = block
-    return stack
-
-
-def _block_views(stack: np.ndarray, trunc: TruncationSpec) -> Dict[int, np.ndarray]:
-    """Freeze the stack and map each d to its (size, size) corner."""
-    stack.flags.writeable = False
-    d, _, size = _block_layout(trunc)
-    return {dk: stack[k, :sk, :sk] for k, (dk, sk) in enumerate(zip(d.tolist(), size.tolist()))}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointState:
     """One return-idler density operator, block-diagonal in d = n_R - n_I.
 
-    blocks[d] is a real-symmetric matrix over idler numbers
-    n2 = max(0,-d) .. min(n_i_max, n_r_max - d); the paired return number is
-    n2 + d.  Every block is a read-only view into ``stack``, the blocks
-    zero-padded into one (n_blocks, n_i_max+1, n_i_max+1) array at position
-    k = d + n_i_max: zeros outside each block's corner, which the spectral
-    layers rely on.  Hand-built states pass only blocks (one per d, of the
-    right size); they are copied into a fresh stack.
+    ``stack`` is the state: slice k = d + n_i_max of the read-only
+    (n_blocks, n_i_max+1, n_i_max+1) array holds block d, a real-symmetric
+    matrix over idler numbers n2 = max(0,-d) .. min(n_i_max, n_r_max - d)
+    (return number n2 + d), in its top-left corner and zeros elsewhere,
+    which the spectral layers rely on.  Equality and hashing go by identity.
     """
 
-    blocks: Dict[int, np.ndarray]
+    stack: np.ndarray
     trunc: TruncationSpec
-    stack: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.stack is None:
-            stack = _stack_from_blocks(self.blocks, self.trunc)
-            object.__setattr__(self, "stack", stack)
-            object.__setattr__(self, "blocks", _block_views(stack, self.trunc))
+        m = self.trunc.n_i_max + 1
+        if self.stack.shape != (self.trunc.n_r_max + m, m, m):
+            raise DomainError(f"stack shape {self.stack.shape} does not fit {self.trunc}")
+        self.stack.flags.writeable = False
+
+    @classmethod
+    def from_blocks(cls, blocks: Dict[int, np.ndarray], trunc: TruncationSpec) -> "JointState":
+        """A hand-built state: one block per d, of the right size, copied into a fresh stack."""
+        d, _, size = _block_layout(trunc)
+        if set(blocks) != set(d.tolist()):
+            raise DomainError("blocks must cover d = -n_i_max .. n_r_max exactly")
+        m = trunc.n_i_max + 1
+        stack = np.zeros((d.size, m, m))
+        for k, (dk, sk) in enumerate(zip(d.tolist(), size.tolist())):
+            block = np.asarray(blocks[dk], dtype=float)
+            if block.shape != (sk, sk):
+                raise DomainError(f"block {dk} must be {sk}x{sk}, got shape {block.shape}")
+            stack[k, :sk, :sk] = block
+        return cls(stack, trunc)
+
+    @functools.cached_property
+    def blocks(self) -> Dict[int, np.ndarray]:
+        """d -> read-only (size, size) corner view of the stack, built on
+        first access; for the tests and the benchmark tracer, not the run path."""
+        d, _, size = _block_layout(self.trunc)
+        return {dk: self.stack[k, :sk, :sk]
+                for k, (dk, sk) in enumerate(zip(d.tolist(), size.tolist()))}
 
     def trace(self) -> float:
         return math.fsum(self.stack.diagonal(axis1=1, axis2=2).ravel().tolist())
-
-
-def _new_state(stack: np.ndarray, trunc: TruncationSpec) -> JointState:
-    return JointState(blocks=_block_views(stack, trunc), trunc=trunc, stack=stack)
 
 
 def build_rho0(params, trunc: TruncationSpec) -> JointState:
@@ -186,7 +178,7 @@ def build_rho0(params, trunc: TruncationSpec) -> JointState:
         n1 = n2 + d[rows]
         lw = _log_thermal_weights(n1, params.n_b) + _log_thermal_weights(n2, params.n_s)
         stack[rows, c, c] = np.exp(lw)
-    return _new_state(stack, trunc)
+    return JointState(stack, trunc)
 
 
 def build_rho1(params, trunc: TruncationSpec) -> JointState:
@@ -248,7 +240,7 @@ def build_rho1(params, trunc: TruncationSpec) -> JointState:
             elem = np.exp(fixed + acc)
             stack[rows, c + l, c] = elem
             stack[rows, c, c + l] = elem  # state is real-symmetric
-    return _new_state(stack, trunc)
+    return JointState(stack, trunc)
 
 
 # --- single-mode states for the classical benchmark -------------------------
@@ -259,13 +251,7 @@ def thermal_state(mean: float, cutoff: int) -> np.ndarray:
         raise DomainError(f"mean must be >= 0, got {mean}")
     if cutoff < 0:
         raise DomainError(f"cutoff must be >= 0, got {cutoff}")
-    n = np.arange(cutoff + 1)
-    if mean == 0.0:
-        diag = np.zeros(cutoff + 1)
-        diag[0] = 1.0
-    else:
-        diag = np.exp(n * math.log(mean) - (n + 1) * math.log1p(mean))
-    return np.diag(diag)
+    return np.diag(np.exp(_log_thermal_weights(np.arange(cutoff + 1), mean)))
 
 
 class _ScipyExpm:
@@ -308,14 +294,12 @@ def build_displaced_thermal(
     if cutoff < 0:
         raise DomainError(f"cutoff must be >= 0, got {cutoff}")
     mean_total = mean_field**2 + n_b
-    if mean_total > 0.0:
-        x = mean_total / (mean_total + 1.0)
-        tail = x ** (cutoff + 1)
-        if tail > tail_tol:
-            raise TruncationError(
-                f"cutoff {cutoff} leaves tail mass {tail:.3e} > {tail_tol:.3e} "
-                f"for mean occupation {mean_total:.6g}"
-            )
+    if cutoff < thermal_cutoff(mean_total, tail_tol):
+        tail = (mean_total / (mean_total + 1.0)) ** (cutoff + 1)
+        raise TruncationError(
+            f"cutoff {cutoff} leaves tail mass {tail:.3e} > {tail_tol:.3e} "
+            f"for mean occupation {mean_total:.6g}"
+        )
     if mean_field == 0.0:
         return thermal_state(n_b, cutoff)
 

@@ -10,6 +10,7 @@ calls on every run.
 """
 
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -19,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 KERNELS = {"eigh", "eigvalsh", "expm", "betainc"}
 
 
@@ -79,7 +81,7 @@ def modules_loaded_by_cli_import(prefixes):
     """Modules starting with one of prefixes that a fresh `import qillum.cli` loads."""
     code = ("import sys, qillum.cli; "
             f"print(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))")
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(ROOT / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     return out.stdout.strip()
@@ -91,3 +93,24 @@ def test_cli_import_loads_no_test_oracle():
 
 def test_cli_import_loads_no_scipy_linalg():
     assert modules_loaded_by_cli_import(["scipy.linalg"]) == "[]"
+
+
+def load_bench_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n_s,kappa,n_b,want", [
+    (0.01, 0.3, 1.0, [34, 430]),
+    (0.01, 0.01, 100.0, [2087, 31225]),
+])
+def test_tracer_reads_rho1_work_size(n_s, kappa, n_b, want):
+    """The fockspace.blocks and fockspace.rho1_elements metrics come from
+    the tracer's view of the state that build_rho1 returns."""
+    from qillum import ScenarioParams, TruncationSpec, build_rho1
+
+    params = ScenarioParams(n_s, kappa, n_b)
+    state = build_rho1(params, TruncationSpec.for_params(params))
+    assert load_bench_tracing()._library_info("fockspace.build_rho1", (), state) == want

@@ -19,7 +19,7 @@ from qillum import (
     thermal_cutoff,
     thermal_state,
 )
-from qillum.bounds import _SpectralPair
+from qillum.bounds import _SpectralPair, overlaps, qcb
 from qillum.fockspace import JointState
 
 from conftest import TAIL
@@ -71,6 +71,39 @@ class TestTruncationSpec:
             TruncationSpec(-1, 4, 1e-9)
         with pytest.raises(DomainError):
             TruncationSpec(10, 4, 1.5)
+
+
+CUT_MEANS = [1e-3, 0.01, 0.3, 1.0, 20.0, 100.0, 1e3]
+
+
+def _mode_case(mode, mean):
+    """Params whose return (H1 mean kappa n_s + n_b) or idler (n_s) cut
+    mean is ``mean``, with the other mode's mean held small."""
+    if mode == "return":
+        return ScenarioParams(1e-3, 0.5, mean), 0.5 * 1e-3 + mean
+    return ScenarioParams(mean, 0.01, 1.0), mean
+
+
+class TestTruncationRule:
+    """Each mode is cut at the smallest level whose thermal tail at the cut
+    mean fits tail_tol, and validate_for refuses exactly the levels below."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("mean", CUT_MEANS)
+    @pytest.mark.parametrize("mode", ["return", "idler"])
+    def test_cut_is_the_validation_threshold(self, mode, mean, tol):
+        params, cut_mean = _mode_case(mode, mean)
+        trunc = TruncationSpec.for_params(params, tail_tol=tol)
+        n = trunc.n_r_max if mode == "return" else trunc.n_i_max
+        assert n == thermal_cutoff(cut_mean, tol) > 0
+        trunc.validate_for(params)
+        short = (TruncationSpec(n - 1, trunc.n_i_max, tol) if mode == "return"
+                 else TruncationSpec(trunc.n_r_max, n - 1, tol))
+        tail = (cut_mean / (cut_mean + 1.0)) ** n
+        text = f"{mode} cutoff {n - 1} leaves tail mass {tail:.3e} > {tol:.3e}"
+        with pytest.raises(TruncationError) as err:
+            short.validate_for(params)
+        assert str(err.value) == text
 
 
 class TestIdlerPmf:
@@ -313,7 +346,7 @@ class TestReadOnlyBlocks:
     def test_hand_built_blocks_are_copied_and_frozen(self, small_pair):
         rho0 = small_pair[0]
         source = {d: b.copy() for d, b in rho0.blocks.items()}
-        state = JointState(blocks=source, trunc=rho0.trunc)
+        state = JointState.from_blocks(blocks=source, trunc=rho0.trunc)
         source[0][0, 0] = 1.0
         assert state.blocks[0][0, 0] == rho0.blocks[0][0, 0]
         with pytest.raises(ValueError):
@@ -323,10 +356,42 @@ class TestReadOnlyBlocks:
         rho0 = small_pair[0]
         missing = {d: b for d, b in rho0.blocks.items() if d != 3}
         with pytest.raises(DomainError):
-            JointState(blocks=missing, trunc=rho0.trunc)
+            JointState.from_blocks(blocks=missing, trunc=rho0.trunc)
         wrong = {**rho0.blocks, 0: np.eye(2)}
         with pytest.raises(DomainError):
-            JointState(blocks=wrong, trunc=rho0.trunc)
+            JointState.from_blocks(blocks=wrong, trunc=rho0.trunc)
+
+
+class TestJointState:
+    """The padded stack is the state: identity equality, a shape check
+    against the truncation, and block views only on demand."""
+
+    PARAMS = ScenarioParams(0.01, 0.3, 1.0)
+
+    def test_equality_and_hash_are_identity(self):
+        trunc = TruncationSpec.for_params(self.PARAMS)
+        a, b = build_rho0(self.PARAMS, trunc), build_rho0(self.PARAMS, trunc)
+        assert a == a and not a != a
+        assert not a == b and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
+    def test_stack_must_match_truncation(self):
+        trunc = TruncationSpec.for_params(self.PARAMS)
+        assert (trunc.n_r_max, trunc.n_i_max) == (29, 4)
+        with pytest.raises(DomainError):
+            JointState(np.zeros((3, 2, 2)), trunc)
+        state = JointState(np.zeros((34, 5, 5)), trunc)
+        assert not state.stack.flags.writeable
+
+    def test_run_path_builds_no_block_views(self):
+        trunc = TruncationSpec.for_params(self.PARAMS)
+        rho0, rho1 = build_rho0(self.PARAMS, trunc), build_rho1(self.PARAMS, trunc)
+        qcb(rho0, rho1)
+        overlaps(rho0, rho1)
+        helstrom_single_shot(rho0, rho1)
+        for state in (rho0, rho1):
+            assert "blocks" not in vars(state)
 
 
 class TestBuildRho0:
@@ -407,7 +472,7 @@ class TestMoments:
 
     def test_rejects_leaky_state(self, ref_trunc, spdc_pair):
         rho0, _ = spdc_pair
-        half = JointState(
+        half = JointState.from_blocks(
             blocks={d: 0.5 * b for d, b in rho0.blocks.items()},
             trunc=ref_trunc,
         )
@@ -486,6 +551,13 @@ class TestThermalState:
     def test_zero_mean_is_vacuum(self):
         rho = thermal_state(0.0, 5)
         assert rho[0, 0] == 1.0 and float(np.abs(rho).sum()) == 1.0
+
+    @pytest.mark.parametrize("mean", [0.01, 1.0, 100.0])
+    def test_diagonal_is_the_log_weight_formula_bit_for_bit(self, mean):
+        cutoff = thermal_cutoff(mean, 1e-12)
+        n = np.arange(cutoff + 1)
+        want = np.exp(n * math.log(mean) - (n + 1) * math.log1p(mean))
+        assert np.array_equal(thermal_state(mean, cutoff), np.diag(want))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):

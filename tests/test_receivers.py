@@ -572,11 +572,11 @@ def synthetic_orthogonal_pair():
     """Hand-built two-block states with disjoint supports."""
     trunc = TruncationSpec(1, 1, 0.5)
     zero = np.zeros((1, 1))
-    rho0 = JointState(
+    rho0 = JointState.from_blocks(
         blocks={-1: zero.copy(), 0: np.diag([1.0, 0.0]), 1: zero.copy()},
         trunc=trunc,
     )
-    rho1 = JointState(
+    rho1 = JointState.from_blocks(
         blocks={-1: zero.copy(), 0: np.diag([0.0, 1.0]), 1: zero.copy()},
         trunc=trunc,
     )
@@ -636,7 +636,7 @@ class TestHelstromOracle:
         """Push the tail blocks of rho1 slightly negative: the batched
         solve still matches the per-block one."""
         rho0, rho1 = spdc_pair
-        leaky = JointState(
+        leaky = JointState.from_blocks(
             blocks={d: b - 1e-13 * np.eye(b.shape[0]) if d > 400 else b
                     for d, b in rho1.blocks.items()},
             trunc=rho1.trunc,
@@ -692,7 +692,7 @@ class TestHelstrom:
 
     def test_rejects_leaky_states(self, spdc_pair):
         rho0, _ = spdc_pair
-        half = JointState(
+        half = JointState.from_blocks(
             blocks={d: 0.5 * b for d, b in rho0.blocks.items()},
             trunc=rho0.trunc,
         )
