@@ -11,7 +11,7 @@ from .bounds import (
     ExponentReport,
     asymptotic_exponents,
     error_prob_bounds,
-    overlaps,
+    gaussian_chernoff,
     q_s,
     qcb,
 )
@@ -79,9 +79,9 @@ __all__ = [
     # bounds
     "ExponentReport",
     "BoundTriple",
+    "gaussian_chernoff",
     "q_s",
     "qcb",
-    "overlaps",
     "error_prob_bounds",
     "asymptotic_exponents",
     # receivers

@@ -1,17 +1,25 @@
 """Overlap functionals and K-copy error-probability bounds.
 
-The s-overlap Q_s = Tr(rho0^s rho1^(1-s)) is evaluated spectrally: both
-states are eigendecomposed once, after which every s costs one weighted
-quadratic form per block.  Each state takes one batched ``eigh`` over
-its zero-padded block stack, and each Q_s one ``einsum``; a dense
-single-mode benchmark is the one-block case.  Padding only adds zero
-eigenvalues: they vanish on 0 < s < 1, and at s = 0 or 1 (0**0 = 1) the
-rows and columns of M still sum to one, so Q_0 = Tr rho1, Q_1 = Tr rho0.
-The cached form Q_s = sum_ij M_ij w0_i^s w1_j^(1-s) has
-M >= 0 and clipped w >= 0, so on (0, 1) every nonzero term is log-linear in
-s and the sum is log-convex, hence unimodal: one golden section finds the
-Chernoff minimum.  Zero eigenvalues enter only at s = 0 or 1 (0**0 = 1),
-where they can only raise Q_s, and the search keeps both endpoints.
+The return-idler pair is Gaussian under both hypotheses, so its overlap
+Q_s = Tr(rho0^s rho1^(1-s)) has a closed form (Pirandola & Lloyd, PRA 78,
+012331 (2008)), which ``gaussian_chernoff`` evaluates.  rho1 is a two-mode
+squeeze, sinh^2 r = w/R, of thermal modes of means N+ = n_b + kappa n_s - w/2
+and N- = n_s - w/2, where R^2 = (a' + b)^2 - 16 kappa n_s (n_s + 1),
+a' + b = 2 (kappa n_s + n_b + n_s + 1) and w = (a' + b - R)/2.  With
+E_s(N, M) = (N+1)^s (M+1)^(1-s) - N^s M^(1-s), the inverse overlap of two
+geometric laws, and H_p(X, Y) = ((X+1)(Y+1))^p - (XY)^p,
+
+    1/Q_s = E_s(n_b, N+) E_s(n_s, N-) + sinh^2 r H_s(n_b, n_s) H_(1-s)(N+, N-).
+
+1/Q_s - 1 is then a sum of terms >= 0, and E_s - 1 = expm1(J) with J the
+Jensen gap of the concave f(b) = ln(1 - e^-b) at b = ln(1 + 1/N), ln(1 + 1/M),
+summed near their mean as a Taylor series, f^(k) = (-1)^(k-1) Nbar
+(Nbar+1)^(k-1) A_(k-1)(e^-b) (Eulerian A).  Nothing cancels; Q_0 = Q_1 = 1.
+
+The Fock route (q_s, qcb) is the cross-check oracle of the closed form: one
+batched ``eigh`` per state over its zero-padded block stack, then one
+``einsum`` per s.  Its Q_s is log-convex on (0, 1), so one golden section
+over [0, 1], endpoints kept as candidates, finds the minimum.
 
 For K independent mode pairs the minimum error probability is sandwiched by
 
@@ -23,6 +31,7 @@ all of which are evaluated in the log domain so K up to 1e8 is safe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -36,9 +45,9 @@ from .gss import golden_section_min
 __all__ = [
     "ExponentReport",
     "BoundTriple",
+    "gaussian_chernoff",
     "q_s",
     "qcb",
-    "overlaps",
     "error_prob_bounds",
     "asymptotic_exponents",
 ]
@@ -47,9 +56,102 @@ _LN10 = math.log(10.0)
 _LOG10_HALF = math.log10(0.5)
 _S_TOL = 1e-4        # bracket width for the Chernoff s-search
 _FLAT_Q_TOL = 1e-12  # treat 1 - Q below this as "states indistinguishable"
+_SERIES_RATIO = 0.6  # Taylor branch of a Jensen gap: step / radius of convergence
+_SERIES_TERMS = 90   # 0.6**88 < 1e-19, so the series stops well before this
 
 
-# --- spectral plumbing -------------------------------------------------------
+# --- closed-form Gaussian overlap ---------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _eulerian(n: int) -> Tuple[float, ...]:
+    """Coefficients of A_n(z) / n!, A_n the Eulerian polynomial, highest order first."""
+    if n == 0:
+        return (1.0,)
+    low = (0.0,) + _eulerian(n - 1)[::-1] + (0.0,)
+    return tuple(((m + 1) * low[m + 1] + (n - m) * low[m]) / n for m in range(n))[::-1]
+
+
+def _log1mexp(beta: float) -> float:
+    """ln(1 - e^-beta) for beta > 0, to full relative accuracy."""
+    return math.log1p(-math.exp(-beta)) if beta > math.log(2.0) else math.log(-math.expm1(-beta))
+
+
+def _geometric_gap(n: float, m: float, gap: float):
+    """s -> E_s(n, m) - 1 for geometric laws of means n and m = n + gap, the
+    gap passed on its own so that it keeps its digits when m is near n."""
+    if n == 0.0 or m == 0.0:  # N^s M^(1-s) vanishes on (0, 1)
+        ln_n, ln_m = math.log1p(n), math.log1p(m)
+        return lambda s: math.expm1(s * ln_n + (1.0 - s) * ln_m) if 0.0 < s < 1.0 else 0.0
+    beta_n, beta_m = math.log1p(1.0 / n), math.log1p(1.0 / m)
+    f_n, f_m = _log1mexp(beta_n), _log1mexp(beta_m)
+    # beta_n - beta_m, through a log1p argument >= 0 on either side
+    delta = (math.log1p(gap / (n * (m + 1.0))) if gap >= 0.0
+             else -math.log1p(-gap / (m * (n + 1.0))))
+
+    def expm1_jensen(s: float) -> float:
+        t = 1.0 - s
+        beta = s * beta_n + t * beta_m
+        if max(s, t) * abs(delta) > _SERIES_RATIO * beta:
+            return math.expm1(_log1mexp(beta) - s * f_n - t * f_m)
+        z, step = math.exp(-beta), delta / -math.expm1(-beta)  # step = (Nbar + 1) delta
+        total, power, s_pow, t_pow = 0.0, -step, -s, t
+        for k in range(2, _SERIES_TERMS):
+            power, s_pow, t_pow = -power * step, -s_pow * s, t_pow * t
+            poly = 0.0
+            for coeff in _eulerian(k - 1):
+                poly = poly * z + coeff
+            term = (s * t_pow + t * s_pow) * poly * power / k
+            total += term
+            if k % 2 == 0 and abs(term) <= 1e-17 * total:  # odd terms vanish at s = 1/2
+                break
+        return math.expm1(z * total)
+    return expm1_jensen
+
+
+def _cross_gap(x: float, y: float):
+    """p -> H_p(x, y) = ((x+1)(y+1))^p - (xy)^p."""
+    ln_a = math.log1p(x) + math.log1p(y)
+    ln_ratio = math.log1p((x + y + 1.0) / (x * y)) if x * y > 0.0 else math.inf
+    return lambda p: -math.exp(p * ln_a) * math.expm1(-p * ln_ratio) if p > 0.0 else 0.0
+
+
+def _gaussian_ln_q(params):
+    """s -> ln Q_s of the SPDC return-idler pair, in closed form."""
+    n_s, kappa, n_b = params.n_s, params.kappa, params.n_b
+    kns = kappa * n_s
+    a_plus_b = 2.0 * (kns + n_b + n_s + 1.0)
+    root = math.sqrt(a_plus_b * a_plus_b - 16.0 * kns * (n_s + 1.0))
+    half_w = 4.0 * kns * (n_s + 1.0) / (root + a_plus_b)
+
+    def shrunk(x, d, r2_minus_d2):  # x - half_w as x (R - D) / (R + a' + b), exact near vacuum
+        return x * (r2_minus_d2 / (root + d) if d > 0.0 else root - d) / (root + a_plus_b)
+
+    gap = shrunk(kns, 2.0 * (n_s + 1.0 - kns - n_b), 16.0 * n_b * (n_s + 1.0))  # N+ - n_b
+    n_minus = shrunk(n_s, 2.0 * (kns + 2.0 * kappa - n_b - n_s - 1.0),
+                     16.0 * kappa * (n_s + 1.0) * (n_b + (1.0 - kappa)))
+    e_ret, e_idl = _geometric_gap(n_b, n_b + gap, gap), _geometric_gap(n_s, n_minus, -half_w)
+    h_0, h_1 = _cross_gap(n_b, n_s), _cross_gap(n_b + gap, n_minus)
+
+    def ln_q(s: float) -> float:
+        e1, e2 = e_ret(s), e_idl(s)
+        return -math.log1p(e1 + e2 + e1 * e2 + 2.0 * half_w / root * h_0(s) * h_1(1.0 - s))
+    return ln_q
+
+
+def gaussian_chernoff(params) -> Tuple[float, float, float]:
+    """(s_star, ln_q_min, ln_q_half) of the SPDC return-idler pair: the search
+    of qcb, run on the convex closed-form ln Q_s."""
+    ln_q = _gaussian_ln_q(params)
+    s_best, ln_best = golden_section_min(ln_q, 0.0, 1.0, _S_TOL)
+    ln_half = ln_q(0.5)
+    if ln_half <= ln_best:
+        s_best, ln_best = 0.5, ln_half
+    if -math.expm1(ln_best) <= _FLAT_Q_TOL:
+        s_best = 0.5
+    return s_best, ln_best, ln_half
+
+
+# --- Fock cross-check --------------------------------------------------------
 
 def _pair_stacks(rho0, rho1) -> Tuple[np.ndarray, np.ndarray]:
     """The pair as two matching (n_blocks, m, m) stacks; a dense pair is one block."""
@@ -123,13 +225,6 @@ def qcb(rho0, rho1) -> Tuple[float, float, float]:
     """
     s_star, q_min, _ = _SpectralPair(rho0, rho1).chernoff()
     return s_star, q_min, max(0.0, -math.log(q_min))
-
-
-def overlaps(rho0, rho1) -> Tuple[float, float]:
-    """(Q_half, Q_min): q_s(rho0, rho1, 0.5) and qcb's q_min from one
-    spectral decomposition of the pair."""
-    _, q_min, q_half = _SpectralPair(rho0, rho1).chernoff()
-    return q_half, q_min
 
 
 # --- K-copy sandwich ---------------------------------------------------------

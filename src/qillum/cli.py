@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import __version__
-from .bounds import asymptotic_exponents, error_prob_bounds, overlaps, qcb
+from .bounds import asymptotic_exponents, error_prob_bounds, gaussian_chernoff
 from .errors import DomainError, ParseError, QIError
 from .fockspace import TruncationSpec, build_rho0, build_rho1
 from .receivers import (
@@ -52,13 +52,6 @@ from .scenario import (
 )
 
 _LOG10_HALF = math.log10(0.5)
-
-# Past this return-mode cutoff (n_b around 250 at tail 1e-9) the exponents
-# table skips r_q_numeric.  Run time is not the reason: the Fock Chernoff
-# exponent carries an untreated truncation bias that grows with n_b (at
-# n_b=1e3 it reads r_q 1.3% above the Gaussian value).  The cap goes when
-# trace normalization or a Gaussian entangled-pair route removes that bias.
-_QCB_CUTOFF_CAP = 5000
 
 _DEFAULT_PARAMS = ScenarioParams(n_s=0.01, kappa=0.01, n_b=20.0)
 
@@ -217,7 +210,7 @@ def _k_table(args, params: ScenarioParams, receiver: ReceiverConfig, ks: List[in
              columns: Sequence[str], pair_columns) -> None:
     """Write one row of log10 error probabilities per K.
 
-    pair_columns(trunc, rho0, rho1, gain) returns a note for meta.txt and
+    pair_columns(trunc, gain) returns a note for meta.txt and
     cells(k, log10_opa_exact), the row after K with the exact OPA error in
     its slot.
     """
@@ -229,9 +222,8 @@ def _k_table(args, params: ScenarioParams, receiver: ReceiverConfig, ks: List[in
         notes.append("kappa=0: all columns analytic log10(1/2)")
     else:
         trunc = TruncationSpec.for_params(params, tail_tol=args.tail_tol)
-        rho0, rho1 = build_rho0(params, trunc), build_rho1(params, trunc)
         gain, gain_note = resolve_gain(params, receiver.gain)
-        note, cells = pair_columns(trunc, rho0, rho1, gain)
+        note, cells = pair_columns(trunc, gain)
         notes += [f"gain: {gain_note}", note]
         rows = []
         for k in ks:
@@ -244,8 +236,9 @@ def _k_table(args, params: ScenarioParams, receiver: ReceiverConfig, ks: List[in
 
 
 def cmd_bounds(args, params: ScenarioParams, receiver: ReceiverConfig, ks: List[int]) -> None:
-    def pair_columns(trunc, rho0, rho1, gain):
-        q_half_q, q_qcb_q = overlaps(rho0, rho1)
+    def pair_columns(trunc, gain):
+        _, ln_q_min, ln_q_half = gaussian_chernoff(params)
+        q_half_q, q_qcb_q = math.exp(ln_q_half), math.exp(ln_q_min)
         q_c = math.exp(-_coherent_exponent(params))  # Q_half = Q_min at s* = 1/2
         r_opa = _r_opa(params, gain)
 
@@ -265,8 +258,8 @@ def cmd_bounds(args, params: ScenarioParams, receiver: ReceiverConfig, ks: List[
 
 
 def cmd_helstrom(args, params: ScenarioParams, receiver: ReceiverConfig, ks: List[int]) -> None:
-    def pair_columns(trunc, rho0, rho1, gain):
-        result = helstrom_single_shot(rho0, rho1)
+    def pair_columns(trunc, gain):
+        result = helstrom_single_shot(build_rho0(params, trunc), build_rho1(params, trunc))
         # Majority voting needs both conditional rates at or below 1/2; the
         # raw split can put one leg above, so the vote uses the average error
         # as a symmetric per-pair flip probability.
@@ -317,16 +310,8 @@ def cmd_exponents(args, params: ScenarioParams, receiver: ReceiverConfig, _grid)
         ("r_c_hom_closed", report.r_c_hom, "kappa*n_s/(4 n_b + 2)"),
     ]
 
-    if params.kappa == 0.0:
-        rows.append(("r_q_numeric", 0.0, "identical hypotheses"))
-    else:
-        trunc = TruncationSpec.for_params(params, tail_tol=args.tail_tol)
-        if trunc.n_r_max <= _QCB_CUTOFF_CAP:
-            s_q, q_min_q, _ = qcb(build_rho0(params, trunc), build_rho1(params, trunc))
-            rows.append(("r_q_numeric", -math.log(q_min_q), f"fock chernoff, s*={s_q:.4f}"))
-        else:
-            rows.append(("r_q_numeric", None, f"skipped, cutoff {trunc.n_r_max} too large"))
-            notes.append(f"numeric chernoff skipped: n_r_max={trunc.n_r_max} > {_QCB_CUTOFF_CAP}")
+    s_q, ln_q_min, _ = gaussian_chernoff(params)
+    rows.append(("r_q_numeric", -ln_q_min, f"gaussian chernoff, s*={s_q:.4f}"))
     rows.append(("r_c_numeric", _coherent_exponent(params), "exact closed form, s*=0.5000"))
 
     gain, gain_note = resolve_gain(params, receiver.gain)

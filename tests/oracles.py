@@ -3,17 +3,20 @@
 None of these runs in a CLI command, so they live with the tests: the
 terminating 2F1 series of the closed form that build_rho1's elements are
 checked against, the moment and dense-matrix probes of a JointState, its
-health checks, and the two photon-count pmfs.  The library never imports
-this module.
+health checks, the Fock-route overlap pair, the mpmath Pirandola-Lloyd
+overlap of the Gaussian pair, and the two photon-count pmfs.  The library
+never imports this module.
 """
 
 import math
 from collections import namedtuple
 
+import mpmath
 import numpy as np
 from scipy.special import gammaln
 
 from qillum import DomainError
+from qillum.bounds import _SpectralPair
 from qillum.fockspace import _block_layout
 
 # First moments of a joint state: mode occupations and the magnitude of the
@@ -160,6 +163,52 @@ def hermiticity_defect(state) -> float:
 
 def min_eigenvalue(state) -> float:
     return float(min(np.linalg.eigvalsh(b).min() for b in state.blocks.values()))
+
+
+# --- overlaps -------------------------------------------------------------
+
+def overlaps(rho0, rho1):
+    """(Q_half, Q_min) of a Fock state pair: q_s(rho0, rho1, 0.5) and qcb's
+    q_min from one spectral decomposition of the pair."""
+    _, q_min, q_half = _SpectralPair(rho0, rho1).chernoff()
+    return q_half, q_min
+
+
+def gaussian_ln_q_s(n_s, kappa, n_b, s, dps=80):
+    """ln Tr(rho0^s rho1^(1-s)) of the SPDC return-idler pair at dps digits.
+
+    The Pirandola-Lloyd form (PRA 78, 012331 (2008)) for zero-mean states:
+    Q_s = 4 prod G_s(nu0) G_(1-s)(nu1) / sqrt(det(V0(s) + V1(1-s))), with
+    G_p(x) = 2^p / ((x+1)^p - (x-1)^p), V(p) = S diag(Lambda_p(nu)) S^T and
+    Lambda_p(x) = ((x+1)^p + (x-1)^p) / ((x+1)^p - (x-1)^p) over the
+    Williamson form V = S diag(nu) S^T.  H0 is diagonal; H1 is a two-mode
+    squeeze S(r) of the symplectic eigenvalues nu+- = (R +- (a' - b)) / 2.
+    The inputs are taken as exact binary floats.
+    """
+    with mpmath.workdps(dps):
+        n_s, kappa, n_b, s = (mpmath.mpf(v) for v in (n_s, kappa, n_b, s))
+        a0, a1, b = 2 * n_b + 1, 2 * (kappa * n_s + n_b) + 1, 2 * n_s + 1
+        c = 2 * mpmath.sqrt(kappa * n_s * (n_s + 1))
+        root = mpmath.sqrt((a1 + b) ** 2 - 4 * c ** 2)
+        nu_plus, nu_minus = (root + a1 - b) / 2, (root - a1 + b) / 2
+        cosh_2r = (a1 + b) / root
+        ch, sh = mpmath.sqrt((cosh_2r + 1) / 2), mpmath.sqrt((cosh_2r - 1) / 2)
+
+        def g(p, x):
+            return 2 ** p / ((x + 1) ** p - (x - 1) ** p)
+
+        def lam(p, x):
+            return ((x + 1) ** p + (x - 1) ** p) / ((x + 1) ** p - (x - 1) ** p)
+
+        squeeze = mpmath.matrix([[ch, 0, sh, 0], [0, ch, 0, -sh],
+                                 [sh, 0, ch, 0], [0, -sh, 0, ch]])
+        l0, l1 = lam(s, a0), lam(s, b)
+        lp, lm = lam(1 - s, nu_plus), lam(1 - s, nu_minus)
+        sigma = (mpmath.diag([l0, l0, l1, l1])
+                 + squeeze * mpmath.diag([lp, lp, lm, lm]) * squeeze.T)
+        q = (4 * g(s, a0) * g(s, b) * g(1 - s, nu_plus) * g(1 - s, nu_minus)
+             / mpmath.sqrt(mpmath.det(sigma)))
+        return mpmath.log(q)
 
 
 # --- photon-count pmfs ----------------------------------------------------

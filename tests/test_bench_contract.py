@@ -114,3 +114,33 @@ def test_tracer_reads_rho1_work_size(n_s, kappa, n_b, want):
     params = ScenarioParams(n_s, kappa, n_b)
     state = build_rho1(params, TruncationSpec.for_params(params))
     assert load_bench_tracing()._library_info("fockspace.build_rho1", (), state) == want
+
+
+@pytest.fixture()
+def bench_checks(monkeypatch):
+    """bench/checks.py and bench/workloads.py, imported from bench/ as the runner does."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    return importlib.import_module("checks"), importlib.import_module("workloads")
+
+
+def test_check_reference_passes(bench_checks):
+    checks, _ = bench_checks
+    assert checks.check_reference() == []
+
+
+@pytest.mark.parametrize("command", ["exponents", "bounds"])
+@pytest.mark.parametrize("n_s,kappa,n_b", [(0.01, 0.01, 100.0), (0.01, 0.3, 1.0)],
+                         ids=["fock_bright", "opa_scan"])
+def test_bench_output_checks_pass(bench_checks, tmp_path, capsys, command, n_s, kappa, n_b):
+    """The benchmark's own output checks accept the CLI's columns, so a change
+    to them cannot pass the tests and then fail the benchmark."""
+    from qillum.cli import main
+
+    checks, workloads = bench_checks
+    config = (("n_s", repr(n_s)), ("kappa", repr(kappa)), ("n_b", repr(n_b)))
+    cmd = workloads.Command(command, config, ("--tail-tol", "1e-9"))
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(cmd.config_text(), encoding="ascii")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path), *cmd.args]) == 0
+    capsys.readouterr()
+    assert checks.check_command(cmd, tmp_path) == []

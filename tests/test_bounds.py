@@ -1,5 +1,6 @@
 """Overlap functionals and K-copy bounds against closed forms."""
 
+import itertools
 import math
 
 import mpmath
@@ -15,15 +16,16 @@ from qillum import (
     build_rho0,
     build_rho1,
     error_prob_bounds,
-    overlaps,
+    gaussian_chernoff,
     q_s,
     qcb,
 )
-from qillum.bounds import _FLAT_Q_TOL, _S_TOL, _SpectralPair
+from qillum.bounds import _FLAT_Q_TOL, _S_TOL, _SpectralPair, _gaussian_ln_q
 from qillum.cli import _coherent_exponent
 from qillum.gss import golden_section_min
 
 from conftest import TAIL
+from oracles import gaussian_ln_q_s, overlaps
 
 
 def displaced_thermal_overlap(delta_sq: float, n_b: float, s: float) -> float:
@@ -273,6 +275,85 @@ class TestChernoffSearch:
         pair = _SpectralPair(*grid_pairs[n_b, kappa])
         ln_q = np.log([pair.q_s(s) for s in np.linspace(0.02, 0.98, 49).tolist()])
         assert np.diff(ln_q, 2).min() >= 0.0
+
+
+class TestGaussianChernoff:
+    """The closed-form ln Q_s of the SPDC pair against the mpmath
+    Pirandola-Lloyd oracle, and against the Fock route it replaces in the CLI."""
+
+    GRID_NS = (1e-6, 1e-2, 1.0)
+    GRID_KAPPA = (1e-4, 1e-2, 0.3, 1.0)
+    GRID_S = (0.05, 0.5, 0.95)
+
+    @pytest.mark.parametrize("n_b", [0.01, 1.0, 20.0, 100.0, 1e3, 1e6])
+    def test_against_mpmath(self, n_b):
+        for n_s, kappa in itertools.product(self.GRID_NS, self.GRID_KAPPA):
+            ln_q = _gaussian_ln_q(ScenarioParams(n_s, kappa, n_b))
+            for s in self.GRID_S:
+                want = gaussian_ln_q_s(n_s, kappa, n_b, s)
+                assert abs(ln_q(s) - want) <= 1e-12 * abs(want), (n_s, kappa, s)
+
+    @pytest.mark.parametrize("n_s, kappa, n_b", [
+        (0.3, 0.5, 0.0),
+        (0.3, 0.5, 1e-14),
+        (1.5536547237749636e-06, 1.0, 1.7499016521315267e-08),
+        (2.484815295073345e-05, 1.0, 5.318654551743987e-08),
+    ], ids=["dark", "nearly_dark", "pure_return", "pure_idler"])
+    def test_near_the_vacuum(self, n_s, kappa, n_b):
+        """A mode mean that is a small difference of large ones (N+ - n_b,
+        N-) or a step far from the mean (delta, ln(1 - e^-beta)) keeps its
+        digits when a mode nears the vacuum."""
+        ln_q = _gaussian_ln_q(ScenarioParams(n_s, kappa, n_b))
+        for s in (0.3, 0.43, 0.5, 0.72):
+            want = gaussian_ln_q_s(n_s, kappa, n_b, s)
+            assert abs(ln_q(s) - want) <= 1e-12 * abs(want), s
+
+    def test_endpoints_are_exactly_one(self):
+        for n_b, n_s, kappa in itertools.product((0.0, 0.01, 20.0, 1e6), self.GRID_NS,
+                                                 self.GRID_KAPPA):
+            ln_q = _gaussian_ln_q(ScenarioParams(n_s, kappa, n_b))
+            assert math.exp(ln_q(0.0)) == 1.0 and math.exp(ln_q(1.0)) == 1.0
+
+    @pytest.mark.parametrize("n_b", [0.01, 20.0, 1e6])
+    def test_kappa_zero_is_exactly_flat(self, n_b):
+        params = ScenarioParams(0.01, 0.0, n_b)
+        ln_q = _gaussian_ln_q(params)
+        assert all(ln_q(s) == 0.0 for s in np.linspace(0.0, 1.0, 11).tolist())
+        assert gaussian_chernoff(params) == (0.5, 0.0, 0.0)
+
+    @pytest.mark.parametrize("n_s, kappa, n_b", [
+        (0.01, 0.01, 1.0), (0.01, 0.3, 1.0), (0.01, 0.01, 100.0), (1.0, 0.95, 0.05),
+        (1e-6, 1.0, 1e-2), (1.0, 1e-4, 1e6),
+    ])
+    def test_log_convex(self, n_s, kappa, n_b):
+        ln_q = _gaussian_ln_q(ScenarioParams(n_s, kappa, n_b))
+        values = np.array([ln_q(s) for s in np.linspace(0.02, 0.98, 49).tolist()])
+        assert np.diff(values, 2).min() >= 0.0
+
+    # -min_s ln Q_s by golden section on the oracle at 80 digits, s to 1e-12
+    @pytest.mark.parametrize("n_s, kappa, n_b, want", [
+        (0.01, 0.01, 20.0, 3.9565971923709483e-6),
+        (0.01, 0.01, 100.0, 8.1975367321575483e-7),
+        (0.01, 0.01, 1e3, 8.264424096874433e-8),
+        (0.01, 0.3, 1.0, 1.3452414989369065e-3),
+    ])
+    def test_chernoff_minimum(self, n_s, kappa, n_b, want):
+        s_star, ln_q_min, ln_q_half = gaussian_chernoff(ScenarioParams(n_s, kappa, n_b))
+        assert -ln_q_min == pytest.approx(want, rel=1e-8)
+        assert ln_q_min <= ln_q_half == _gaussian_ln_q(ScenarioParams(n_s, kappa, n_b))(0.5)
+        assert 0.0 < s_star < 1.0
+
+    @pytest.mark.parametrize("n_s, kappa, n_b", [
+        (0.01, 0.01, 1.0), (0.01, 0.3, 1.0), (0.01, 0.01, 20.0), (0.1, 0.3, 20.0),
+    ])
+    def test_matches_fock_route(self, n_s, kappa, n_b):
+        """The Fock Q_s differs only by the truncated tails, about tail_tol."""
+        params = ScenarioParams(n_s, kappa, n_b)
+        trunc = TruncationSpec.for_params(params, tail_tol=TAIL)
+        pair = _SpectralPair(build_rho0(params, trunc), build_rho1(params, trunc))
+        ln_q = _gaussian_ln_q(params)
+        for s in (0.25, 0.5, 0.75):
+            assert abs(math.exp(ln_q(s)) - pair.q_s(s)) <= 3.0 * TAIL
 
 
 class TestCoherentClosedForm:

@@ -138,7 +138,8 @@ def eigh_shapes(monkeypatch):
 
 
 class TestOneEigensolvePerState:
-    """Each state's zero-padded block stack is decomposed in one call."""
+    """Only helstrom decomposes a state, its zero-padded block stack in one
+    call; the Chernoff overlaps of bounds and exponents are closed forms."""
 
     PARAMS = ScenarioParams(n_s=0.01, kappa=0.01, n_b=20.0)  # the CLI default
 
@@ -146,10 +147,18 @@ class TestOneEigensolvePerState:
         trunc = TruncationSpec.for_params(self.PARAMS, 1e-9)
         return build_rho0(self.PARAMS, trunc).stack.shape
 
-    def test_bounds_decomposes_each_state_once(self, tmp_path, eigh_shapes):
-        """Q_half and Q_min share one eigh per state."""
-        assert main(["bounds", "--out", str(tmp_path)]) == 0
-        assert eigh_shapes == [self.stack_shape()] * 2
+    @pytest.mark.parametrize("command", ["bounds", "exponents"])
+    def test_chernoff_commands_make_no_eigensolve(self, tmp_path, capsys, monkeypatch,
+                                                  eigh_shapes, command):
+        """Q_half and Q_min come from the closed form: no state, no eigh."""
+        def no_state(*args, **kwargs):
+            raise AssertionError(f"{command} built a Fock state")
+
+        monkeypatch.setattr(qillum.cli, "build_rho0", no_state)
+        monkeypatch.setattr(qillum.cli, "build_rho1", no_state)
+        assert main([command, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert eigh_shapes == []
 
     def test_helstrom_is_one_eigensolve(self, tmp_path, eigh_shapes):
         """Only rho1 - rho0 is decomposed, in one stacked eigh."""
@@ -288,7 +297,8 @@ class TestExponentsCommand:
         assert table["r_q_closed"] == "5e-06"
         assert table["r_c_closed"] == "1.25e-06"
         assert float(table["r_c_hom_closed"]) == pytest.approx(1e-4 / 82, rel=1e-15)
-        assert float(table["r_q_numeric"]) == pytest.approx(3.95767964520738e-6, rel=1e-6)
+        # -min_s ln Q_s of the Gaussian pair; mpmath at 80 digits: 3.9565971923709483e-6
+        assert float(table["r_q_numeric"]) == pytest.approx(3.9565971923709483e-6, rel=1e-6)
         # exact closed form kappa n_s (sqrt(n_b+1) - sqrt(n_b))**2; mpmath: 1.2196936161606467e-6
         assert float(table["r_c_numeric"]) == pytest.approx(1.2196936161606469e-6, rel=1e-6)
         assert float(table["g_star"]) == pytest.approx(1.0050090653144212, rel=1e-9)
@@ -311,22 +321,22 @@ class TestExponentsCommand:
         capsys.readouterr()
         assert len(calls) == 1
 
-    def test_past_the_cutoff_cap(self, tmp_path, capsys):
-        """At n_b = 1e3 the Fock Chernoff pass is skipped, but the coherent
-        exponent is a closed form and is always reported."""
+    # -min_s ln Q_s of the Gaussian pair, mpmath at 60 digits
+    @pytest.mark.parametrize("n_b, r_q", [(1e3, 8.264424096874433e-8),
+                                          (1e6, 8.271917616538051e-11)])
+    def test_bright_background_exponents(self, tmp_path, capsys, n_b, r_q):
+        """Both numeric exponents are closed forms, reported at any n_b."""
         cfg = tmp_path / "bright.cfg"
-        cfg.write_text("n_s = 0.01\nkappa = 0.01\nn_b = 1000.0\n", encoding="ascii")
+        cfg.write_text(f"n_s = 0.01\nkappa = 0.01\nn_b = {n_b!r}\n", encoding="ascii")
         out = tmp_path / "run"
         assert main(["exponents", "--config", str(cfg), "--out", str(out)]) == 0
         capsys.readouterr()
         _, _, rows = read_csv(out / "exponents.csv")
         cells = {row[0]: (row[1], ",".join(row[2:])) for row in rows}
-        assert cells["r_q_numeric"][0] == "nan"
-        assert cells["r_q_numeric"][1].startswith("skipped, cutoff")
-        want = _coherent_exponent(ScenarioParams(0.01, 0.01, 1000.0))
+        assert float(cells["r_q_numeric"][0]) == pytest.approx(r_q, rel=1e-8)
+        assert cells["r_q_numeric"][1] == "gaussian chernoff, s*=0.5000"
+        want = _coherent_exponent(ScenarioParams(0.01, 0.01, n_b))
         assert cells["r_c_numeric"] == (repr(want), "exact closed form, s*=0.5000")
-        meta = (out / "meta.txt").read_text(encoding="ascii")
-        assert "note=numeric chernoff skipped" in meta
 
     def test_kappa_zero_placeholders(self, tmp_path, capsys):
         cfg = tmp_path / "dark.cfg"

@@ -19,7 +19,7 @@ from qillum import (
     thermal_cutoff,
     thermal_state,
 )
-from qillum.bounds import _SpectralPair, overlaps, qcb
+from qillum.bounds import _SpectralPair, qcb
 from qillum.fockspace import JointState
 
 from conftest import TAIL
@@ -29,6 +29,7 @@ from oracles import (
     idler_photon_pmf,
     min_eigenvalue,
     moments_check,
+    overlaps,
     to_dense,
 )
 
