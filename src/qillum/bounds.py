@@ -64,11 +64,11 @@ _SERIES_TERMS = 90   # 0.6**88 < 1e-19, so the series stops well before this
 
 @functools.lru_cache(maxsize=None)
 def _eulerian(n: int) -> Tuple[float, ...]:
-    """Coefficients of A_n(z) / n!, A_n the Eulerian polynomial, highest order first."""
+    """Coefficients of A_n(z) / n!, A_n the Eulerian polynomial, lowest order first."""
     if n == 0:
         return (1.0,)
-    low = (0.0,) + _eulerian(n - 1)[::-1] + (0.0,)
-    return tuple(((m + 1) * low[m + 1] + (n - m) * low[m]) / n for m in range(n))[::-1]
+    prev = (0.0,) + _eulerian(n - 1) + (0.0,)
+    return tuple(((m + 1) * prev[m + 1] + (n - m) * prev[m]) / n for m in range(n))
 
 
 def _log1mexp(beta: float) -> float:
@@ -98,7 +98,7 @@ def _geometric_gap(n: float, m: float, gap: float):
         for k in range(2, _SERIES_TERMS):
             power, s_pow, t_pow = -power * step, -s_pow * s, t_pow * t
             poly = 0.0
-            for coeff in _eulerian(k - 1):
+            for coeff in reversed(_eulerian(k - 1)):
                 poly = poly * z + coeff
             term = (s * t_pow + t * s_pow) * poly * power / k
             total += term
