@@ -2,8 +2,11 @@
 
 The package models the binary decision between "background only" and
 "weakly reflected signal plus background" for an entangled signal-idler
-transmitter and its coherent-state benchmark, at desk scale in a truncated
-Fock space.
+transmitter and its coherent-state benchmark, at desk scale.  Chernoff
+overlaps come in closed form from the Gaussian states and the OPA receiver
+from exact photon-count tails; only the per-pair Helstrom measurement, and
+the Fock overlaps that cross-check the closed form, build the states in a
+truncated Fock space.
 """
 
 from .bounds import (
@@ -49,6 +52,7 @@ from .scenario import (
     ScenarioParams,
     ThresholdPolicy,
     parse_config,
+    parse_value,
     render_config,
 )
 
@@ -67,6 +71,7 @@ __all__ = [
     "ThresholdPolicy",
     "CountModel",
     "parse_config",
+    "parse_value",
     "render_config",
     # fockspace
     "TruncationSpec",

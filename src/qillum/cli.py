@@ -21,7 +21,7 @@ import hashlib
 import math
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,12 +48,13 @@ from .scenario import (
     ScenarioParams,
     ThresholdPolicy,
     parse_config,
+    parse_value,
     render_config,
 )
 
 _LOG10_HALF = math.log10(0.5)
 
-_DEFAULT_PARAMS = ScenarioParams(n_s=0.01, kappa=0.01, n_b=20.0)
+_DEFAULT_CONFIG = "n_s=0.01\nkappa=0.01\nn_b=20.0\n"
 
 _UNDEF = "-"  # stdout placeholder for quantities with no defined value
 
@@ -132,30 +133,12 @@ def _log10_or_inf(p: float) -> float:
 
 
 def _load_setup(args) -> Tuple[ScenarioParams, ReceiverConfig]:
-    if args.config is not None:
-        text = Path(args.config).read_text(encoding="utf-8")
-        params, receiver = parse_config(text)
-    else:
-        params, receiver = _DEFAULT_PARAMS, ReceiverConfig()
-
-    overrides: Dict[str, object] = {}
-    if args.gain is not None:
-        spec: Union[float, str] = args.gain
-        if spec not in (GAIN_AUTO, GAIN_BHATT):
-            try:
-                spec = float(spec)
-            except ValueError:
-                raise ParseError(
-                    f"--gain needs a number, '{GAIN_AUTO}' or '{GAIN_BHATT}', got {args.gain!r}"
-                ) from None
-        overrides["gain"] = spec
-    if args.threshold_policy is not None:
-        overrides["threshold_policy"] = ThresholdPolicy(args.threshold_policy)
-    if args.count_model is not None:
-        overrides["count_model"] = CountModel(args.count_model)
-    if overrides:
-        receiver = dataclasses.replace(receiver, **overrides)
-
+    config = _DEFAULT_CONFIG if args.config is None else Path(args.config).read_text("utf-8")
+    params, receiver = parse_config(config)
+    # each receiver flag takes its config key's text and replaces the file's value
+    flags = {field.name: getattr(args, field.name) for field in dataclasses.fields(ReceiverConfig)}
+    receiver = dataclasses.replace(receiver, **{
+        key: parse_value(key, text) for key, text in flags.items() if text is not None})
     if not (math.isfinite(args.tail_tol) and 0.0 < args.tail_tol <= 1e-3):
         raise DomainError(f"--tail-tol must lie in (0, 1e-3], got {args.tail_tol}")
     return params, receiver
@@ -217,7 +200,8 @@ def _k_table(args, params: ScenarioParams, receiver: ReceiverConfig, ks: List[in
     notes = [f"count_model: {receiver.count_model.value}"]
     if params.kappa == 0.0:
         # Identical hypotheses: every receiver and bound sits at chance.  The
-        # numeric route would instead amplify the truncation deficit by K.
+        # numeric route has no OPA gain under gain=auto (resolve_gain gives
+        # None), and helstrom's vote would amplify the truncation deficit by K.
         rows = [[k] + [_LOG10_HALF] * (len(columns) - 1) for k in ks]
         notes.append("kappa=0: all columns analytic log10(1/2)")
     else:

@@ -2,11 +2,11 @@
 
 Under both hypotheses the joint state of one return-idler mode pair only
 connects number states with equal photon-number difference
-``d = n_R - n_I``, so each density operator is stored as a map from d to a
-small dense real-symmetric block over the basis ``{|n2 + d, n2>}``.  The
-return mode may need several hundred levels when the background is bright,
-while the idler stays within a handful, so this layout keeps everything at
-desk scale.
+``d = n_R - n_I``, so each density operator is block-diagonal in d: one
+small dense real-symmetric block per d over the basis ``{|n2 + d, n2>}``.
+The return mode may need several hundred levels when the background is
+bright, while the idler stays within a handful, so blocks of idler size keep
+everything at desk scale.
 
 A state is its read-only ``(n_blocks, m, m)`` stack, m = n_i_max + 1, with
 each block in the top-left corner of its slice and zeros outside it.  The
@@ -272,20 +272,23 @@ class _ScipyExpm:
 
 expm = _ScipyExpm()
 
+# Extra levels under the displacement exponential, cropped off afterwards;
+# the padding absorbs edge reflection.
+_DISPLACEMENT_PAD = 20
+
 
 def build_displaced_thermal(
     mean_field: float,
     n_b: float,
     cutoff: int,
     tail_tol: float = 1e-9,
-    pad: int = 20,
 ) -> np.ndarray:
     """Displace a truncated thermal state by a real field amplitude.
 
     The displacement is the matrix exponential of mean_field * (adag - a)
-    on a space padded by ``pad`` extra levels, cropped back to ``cutoff``
-    afterwards; the padding absorbs edge reflection.  The cutoff must leave
-    less than tail_tol of a thermal tail at mean mean_field**2 + n_b.
+    on a space padded by ``_DISPLACEMENT_PAD`` extra levels, cropped back to
+    ``cutoff`` afterwards.  The cutoff must leave less than tail_tol of a
+    thermal tail at mean mean_field**2 + n_b.
     """
     if mean_field < 0.0:
         raise DomainError(f"mean_field must be >= 0, got {mean_field}")
@@ -303,7 +306,7 @@ def build_displaced_thermal(
     if mean_field == 0.0:
         return thermal_state(n_b, cutoff)
 
-    dim = cutoff + 1 + pad
+    dim = cutoff + 1 + _DISPLACEMENT_PAD
     th = thermal_state(n_b, dim - 1)
     lower = np.diag(np.sqrt(np.arange(1.0, dim)), -1)  # adag in the number basis
     disp = expm(mean_field * (lower - lower.T))

@@ -99,15 +99,37 @@ class ReceiverConfig:
             raise DomainError(f"bad count_model: {self.count_model!r}")
 
 
+def _parse_gain(text: str) -> Union[float, str]:
+    return text if text in (GAIN_AUTO, GAIN_BHATT) else float(text)
+
+
+# Every settings key, in render_config's order, with the parser of its text
+# and what that parser accepts.  Range checks stay in the dataclasses.
+_PARSERS = {
+    "n_s": (float, "a number"),
+    "kappa": (float, "a number"),
+    "n_b": (float, "a number"),
+    "gain": (_parse_gain, f"a number, '{GAIN_AUTO}' or '{GAIN_BHATT}'"),
+    "threshold_policy": (ThresholdPolicy, " or ".join(repr(p.value) for p in ThresholdPolicy)),
+    "count_model": (CountModel, " or ".join(repr(m.value) for m in CountModel)),
+}
 _SCENARIO_KEYS = ("n_s", "kappa", "n_b")
-_RECEIVER_KEYS = ("gain", "threshold_policy", "count_model")
 
 
-def _parse_float(key: str, value: str, lineno: int) -> float:
+def parse_value(key: str, text: str):
+    """The value of one settings key from its text, as in a config line.
+
+    Raises ParseError naming the key, the text and what the key accepts.
+    """
+    if key not in _PARSERS:
+        raise ParseError(f"unknown key {key!r}")
+    if not text:
+        raise ParseError(f"key {key!r} has no value")
+    parse, accepts = _PARSERS[key]
     try:
-        return float(value)
+        return parse(text)
     except ValueError:
-        raise ParseError(f"line {lineno}: key '{key}' needs a number, got {value!r}") from None
+        raise ParseError(f"key {key!r} needs {accepts}, got {text!r}") from None
 
 
 def parse_config(text: str):
@@ -117,55 +139,26 @@ def parse_config(text: str):
     are rejected.  Scenario keys are required, receiver keys fall back to
     defaults (gain=auto, paper_formula, full_counting).
     """
-    seen: dict = {}
+    values: dict = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ParseError(f"line {lineno}: expected key=value, got {rawline.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _SCENARIO_KEYS and key not in _RECEIVER_KEYS:
-            raise ParseError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
+        key, value = map(str.strip, line.split("=", 1))
+        if key in values:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
-        if not value:
-            raise ParseError(f"line {lineno}: key {key!r} has no value")
-        seen[key] = (value, lineno)
+        try:
+            values[key] = parse_value(key, value)
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
 
-    missing = [k for k in _SCENARIO_KEYS if k not in seen]
+    missing = [k for k in _SCENARIO_KEYS if k not in values]
     if missing:
         raise ParseError(f"missing required keys: {missing}")
-
-    params = ScenarioParams(
-        n_s=_parse_float("n_s", *seen["n_s"]),
-        kappa=_parse_float("kappa", *seen["kappa"]),
-        n_b=_parse_float("n_b", *seen["n_b"]),
-    )
-
-    kwargs: dict = {}
-    if "gain" in seen:
-        value, lineno = seen["gain"]
-        if value in (GAIN_AUTO, GAIN_BHATT):
-            kwargs["gain"] = value
-        else:
-            kwargs["gain"] = _parse_float("gain", value, lineno)
-    if "threshold_policy" in seen:
-        value, lineno = seen["threshold_policy"]
-        try:
-            kwargs["threshold_policy"] = ThresholdPolicy(value)
-        except ValueError:
-            raise ParseError(f"line {lineno}: unknown threshold_policy {value!r}") from None
-    if "count_model" in seen:
-        value, lineno = seen["count_model"]
-        try:
-            kwargs["count_model"] = CountModel(value)
-        except ValueError:
-            raise ParseError(f"line {lineno}: unknown count_model {value!r}") from None
-
-    return params, ReceiverConfig(**kwargs)
+    params = ScenarioParams(**{k: values.pop(k) for k in _SCENARIO_KEYS})
+    return params, ReceiverConfig(**values)
 
 
 def render_config(params: ScenarioParams, receiver: ReceiverConfig) -> str:

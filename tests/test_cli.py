@@ -481,6 +481,88 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+class TestReceiverFlags:
+    """Each receiver flag takes its config key's text and overrides the file."""
+
+    SCENARIO = "n_s = 0.01\nkappa = 0.3\nn_b = 1.0\n"
+    FILE = "gain = bhatt\nthreshold_policy = optimal_scan\ncount_model = on_off\n"
+    FLAGS = ["--gain", "1.005", "--threshold-policy", "paper_formula",
+             "--count-model", "full_counting"]
+    COMMANDS = {
+        "bounds": ["bounds", "--k-min", "10", "--k-max", "1000", "--k-points", "4"],
+        "helstrom": ["helstrom", "--k-min", "10", "--k-max", "1000", "--k-points", "4"],
+        "exponents": ["exponents"],
+        "sweep": ["sweep", "--axis", "n_b", "--grid", "0.5,1,2"],
+    }
+
+    def run(self, tmp_path, capsys, name, command, config, flags):
+        out = tmp_path / name
+        out.mkdir()
+        cfg = out / "scenario.cfg"
+        cfg.write_text(config, encoding="ascii")
+        argv = self.COMMANDS[command] + ["--config", str(cfg), "--out", str(out / "run")]
+        assert main(argv + flags) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        csv = (out / "run" / f"{command}.csv").read_bytes()
+        meta = (out / "run" / "meta.txt").read_text(encoding="ascii")
+        return csv, meta, stdout
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_flags_override_file(self, tmp_path, capsys, command):
+        _, meta, _ = self.run(tmp_path, capsys, "both", command,
+                              self.SCENARIO + self.FILE, self.FLAGS)
+        lines = meta.splitlines()
+        for line in ("gain=1.005", "threshold_policy=paper_formula",
+                     "count_model=full_counting"):
+            assert line in lines
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_flag_only_matches_file_only(self, tmp_path, capsys, command):
+        file_only = self.run(tmp_path, capsys, "file", command, self.SCENARIO + self.FILE, [])
+        flags = ["--gain", "bhatt", "--threshold-policy", "optimal_scan",
+                 "--count-model", "on_off"]
+        flag_only = self.run(tmp_path, capsys, "flags", command, self.SCENARIO, flags)
+        assert flag_only == file_only
+
+
+class TestOneRefusal:
+    """A bad setting gets the same refusal from a config line and a flag."""
+
+    SCENARIO = "n_s = 0.01\nkappa = 0.01\nn_b = 20\n"
+
+    def refuse(self, capsys, argv):
+        assert main(["exponents"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qillum: config error: ")
+        return err[len("qillum: config error: "):].strip()
+
+    def from_file(self, tmp_path, capsys, line):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(self.SCENARIO + line + "\n", encoding="ascii")
+        return self.refuse(capsys, ["--config", str(cfg)])
+
+    @pytest.mark.parametrize("text, shown", [("fastest", "'fastest'"), ("", "no value")])
+    def test_unparsed_gain(self, tmp_path, capsys, text, shown):
+        in_file = self.from_file(tmp_path, capsys, f"gain = {text}")
+        as_flag = self.refuse(capsys, ["--gain", text])
+        assert "'gain'" in as_flag and shown in as_flag
+        assert in_file == f"line 4: {as_flag}"
+
+    @pytest.mark.parametrize("gain", ["1", "nan"])
+    def test_gain_out_of_range(self, tmp_path, capsys, gain):
+        in_file = self.from_file(tmp_path, capsys, f"gain = {gain}")
+        as_flag = self.refuse(capsys, ["--gain", gain])
+        assert in_file == as_flag
+        assert "G > 1" in as_flag
+
+    @pytest.mark.parametrize("key, text", [("threshold_policy", "guess"),
+                                           ("count_model", "analog")])
+    def test_unparsed_enum(self, tmp_path, capsys, key, text):
+        in_file = self.from_file(tmp_path, capsys, f"{key} = {text}")
+        assert in_file.startswith("line 4: ")
+        assert repr(key) in in_file and repr(text) in in_file
+
+
 class TestNoTraceback:
     """Every command ends in an exit code, whatever the gain: huge explicit
     gains must fail as computation errors, not as uncaught exceptions."""

@@ -12,8 +12,10 @@ from qillum import (
     ScenarioParams,
     ThresholdPolicy,
     parse_config,
+    parse_value,
     render_config,
 )
+from qillum import scenario
 from qillum.scenario import GAIN_AUTO, GAIN_BHATT
 
 
@@ -133,7 +135,68 @@ class TestParseConfig:
             parse_config(text)
 
 
+class TestParseValue:
+    @pytest.mark.parametrize(
+        "key, text, value",
+        [
+            ("n_s", "0.01", 0.01),
+            ("kappa", "1e-9", 1e-9),
+            ("n_b", "20", 20.0),
+            ("gain", "auto", GAIN_AUTO),
+            ("gain", "bhatt", GAIN_BHATT),
+            ("gain", "1.005", 1.005),
+            ("threshold_policy", "optimal_scan", ThresholdPolicy.OPTIMAL_SCAN),
+            ("count_model", "on_off", CountModel.ON_OFF),
+        ],
+    )
+    def test_accepts(self, key, text, value):
+        assert parse_value(key, text) == value
+
+    @pytest.mark.parametrize(
+        "key, text, accepts",
+        [
+            ("kappa", "fast", "a number"),
+            ("gain", "fastest", "a number, 'auto' or 'bhatt'"),
+            ("gain", "Auto", "a number, 'auto' or 'bhatt'"),
+            ("threshold_policy", "guess", "'paper_formula' or 'optimal_scan'"),
+            ("count_model", "analog", "'full_counting' or 'on_off'"),
+        ],
+    )
+    def test_refusal_names_key_text_and_accepted_values(self, key, text, accepts):
+        with pytest.raises(ParseError) as info:
+            parse_value(key, text)
+        assert str(info.value) == f"key {key!r} needs {accepts}, got {text!r}"
+
+    def test_config_line_adds_only_its_number(self):
+        with pytest.raises(ParseError) as bare:
+            parse_value("gain", "fastest")
+        with pytest.raises(ParseError) as line:
+            parse_config("n_s=0.01\nkappa=0.01\nn_b=20\ngain = fastest\n")
+        assert str(line.value) == f"line 4: {bare.value}"
+
+    def test_unknown_key_and_empty_text(self):
+        with pytest.raises(ParseError, match="^unknown key 'k'$"):
+            parse_value("k", "2")
+        with pytest.raises(ParseError, match="^key 'gain' has no value$"):
+            parse_value("gain", "")
+
+    def test_range_checks_stay_in_the_dataclasses(self):
+        """1 and nan are numbers to the parser; ReceiverConfig refuses them."""
+        assert parse_value("gain", "1") == 1.0
+        assert math.isnan(parse_value("gain", "nan"))
+        assert parse_value("kappa", "2") == 2.0
+
+
 class TestRenderConfig:
+    def test_writes_exactly_the_parsed_keys_in_table_order(self):
+        """A setting the parser reads but render_config skips would change
+        outputs without changing the params digest."""
+        rendered = render_config(ScenarioParams(0.01, 0.01, 20.0), ReceiverConfig())
+        keys = [line.split("=", 1)[0] for line in rendered.splitlines()]
+        assert keys == list(scenario._PARSERS)
+        for line in rendered.splitlines():
+            parse_value(*line.split("=", 1))
+
     @pytest.mark.parametrize("gain", [GAIN_AUTO, GAIN_BHATT, 1.0050090653144212])
     def test_round_trip(self, gain):
         # 0.1 + 0.2 is deliberately not representable as a short decimal
