@@ -26,7 +26,9 @@ For K independent mode pairs the minimum error probability is sandwiched by
     lower  = (1 - sqrt(1 - Q_half**(2K))) / 2
     upper  = Q_chernoff**K / 2   <=   Q_half**K / 2
 
-all of which are evaluated in the log domain so K up to 1e8 is safe.
+``error_prob_bounds`` takes ln Q_half and ln Q_chernoff, as ``gaussian_chernoff``
+returns them, and gives the log10 of each bound, so no overlap passes
+through exp and back and K up to 1e8 is safe.
 """
 
 from __future__ import annotations
@@ -231,19 +233,15 @@ def qcb(rho0, rho1) -> Tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class BoundTriple:
-    """Lower and upper bounds on the K-copy minimum error probability,
-    with log10 companions computed without underflow."""
+    """log10 of the lower and the two upper bounds on the K-copy minimum
+    error probability.  They are taken from ln Q, never from Q**K, so they
+    stay finite where the probabilities underflow."""
 
-    lower: float
-    upper_qcb: float
-    upper_bhatt: float
     log10_lower: float
     log10_upper_qcb: float
     log10_upper_bhatt: float
 
     def __post_init__(self):
-        # The ordering is checked on the log legs: deep in the tail the linear
-        # legs all underflow to 0.0 and would pass any order.
         def at_most(a: float, b: float) -> bool:
             return a <= b + 1e-12 * (1.0 + abs(b))
 
@@ -254,42 +252,31 @@ class BoundTriple:
         ):
             raise DomainError(
                 "bound ordering violated; inputs are not a physical overlap pair "
-                f"(lower={self.lower}, upper_qcb={self.upper_qcb}, "
-                f"upper_bhatt={self.upper_bhatt})"
+                f"(log10 legs {self.log10_lower}, {self.log10_upper_qcb}, "
+                f"{self.log10_upper_bhatt})"
             )
 
 
-def error_prob_bounds(q_half: float, q_qcb: float, K: int) -> BoundTriple:
-    """Sandwich the K-copy optimal error probability between the overlap bounds.
+def error_prob_bounds(ln_q_half: float, ln_q_min: float, K: int) -> BoundTriple:
+    """Sandwich the K-copy optimal error probability between the overlap
+    bounds, from the log overlaps ln Q_half and ln Q_min.
 
-    Requires 0 < q_qcb <= q_half <= 1.  For overlaps of genuine state pairs
-    log-convexity also gives q_half**2 <= q_qcb, which is what makes the
-    lower bound sit below the Chernoff upper bound.
+    Requires -inf < ln_q_min <= ln_q_half <= 0.  For overlaps of genuine
+    state pairs log-convexity also gives 2 ln_q_half <= ln_q_min, which is
+    what makes the lower bound sit below the Chernoff upper bound.
     """
-    if not (0.0 < q_qcb <= q_half <= 1.0):
-        raise DomainError(
-            f"need 0 < q_qcb <= q_half <= 1, got q_qcb={q_qcb}, q_half={q_half}"
-        )
+    if not (-math.inf < ln_q_min <= ln_q_half <= 0.0):
+        raise DomainError(f"need -inf < ln_q_min <= ln_q_half <= 0, "
+                          f"got ln_q_min={ln_q_min}, ln_q_half={ln_q_half}")
     if K < 1:
         raise DomainError(f"K must be >= 1, got {K}")
 
-    ln_qcb = K * math.log(q_qcb)
-    ln_bhatt = K * math.log(q_half)
-    ln_upper_qcb = ln_qcb - math.log(2.0)
-    ln_upper_bhatt = ln_bhatt - math.log(2.0)
-
     # lower = (1 - sqrt(1 - Q^2K))/2 rewritten as Q^2K / (2 (1 + sqrt(1 - Q^2K)))
-    t = 2.0 * ln_bhatt
-    one_minus = -math.expm1(t)  # 1 - Q^2K without cancellation
-    ln_lower = t - math.log(2.0 * (1.0 + math.sqrt(max(one_minus, 0.0))))
-
+    t = 2.0 * K * ln_q_half
     return BoundTriple(
-        lower=math.exp(ln_lower),
-        upper_qcb=math.exp(ln_upper_qcb),
-        upper_bhatt=math.exp(ln_upper_bhatt),
-        log10_lower=ln_lower / _LN10,
-        log10_upper_qcb=ln_upper_qcb / _LN10,
-        log10_upper_bhatt=ln_upper_bhatt / _LN10,
+        log10_lower=t / _LN10 - math.log10(2.0 * (1.0 + math.sqrt(-math.expm1(t)))),
+        log10_upper_qcb=K * ln_q_min / _LN10 + _LOG10_HALF,
+        log10_upper_bhatt=K * ln_q_half / _LN10 + _LOG10_HALF,
     )
 
 

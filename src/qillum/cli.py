@@ -67,8 +67,8 @@ def _fmt(value) -> str:
         return "nan"
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return repr(float(value))
 
 
@@ -222,13 +222,12 @@ def _k_table(args, params: ScenarioParams, receiver: ReceiverConfig, ks: List[in
 def cmd_bounds(args, params: ScenarioParams, receiver: ReceiverConfig, ks: List[int]) -> None:
     def pair_columns(trunc, gain):
         _, ln_q_min, ln_q_half = gaussian_chernoff(params)
-        q_half_q, q_qcb_q = math.exp(ln_q_half), math.exp(ln_q_min)
-        q_c = math.exp(-_coherent_exponent(params))  # Q_half = Q_min at s* = 1/2
+        ln_q_c = -_coherent_exponent(params)  # Q_half = Q_min at s* = 1/2
         r_opa = _r_opa(params, gain)
 
         def cells(k, log10_opa):
-            b_c = error_prob_bounds(q_c, q_c, k)
-            b_q = error_prob_bounds(q_half_q, q_qcb_q, k)
+            b_c = error_prob_bounds(ln_q_c, ln_q_c, k)
+            b_q = error_prob_bounds(ln_q_half, ln_q_min, k)
             _, log10_hom = homodyne_error(params, k)
             # the log leg stays finite where the probability underflows
             _, log10_gauss = half_erfc_sqrt(r_opa * k)
@@ -435,5 +434,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except (np.linalg.LinAlgError, OSError) as exc:
         print(f"qillum: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"qillum: float overflow ({exc})", file=sys.stderr)
         return 1
     return 0

@@ -27,6 +27,7 @@ large K.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context, Decimal
 from typing import Optional, Tuple
@@ -59,8 +60,8 @@ _LR_MARGIN = 1e-12  # relative distance from an integer that certifies a float t
 _GAIN_MIN_EXCESS = 1e-9
 _GAIN_MAX = 1.5
 _GAIN_REL_TOL = 1e-4
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)  # smallest normal float
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min  # smallest normal float
 
 
 def half_erfc_sqrt(y: float) -> Tuple[float, float]:
@@ -90,6 +91,21 @@ def homodyne_error(params, K: int) -> Tuple[float, float]:
 
 # --- OPA receiver ------------------------------------------------------------
 
+def _opa_means(params, G: float) -> Tuple[float, float, float]:
+    """(N0, N1, N1 - N0); N1 - N0 is the sum of its two non-negative terms,
+    so it keeps its digits however close N1 is to N0."""
+    if not math.isfinite(G) or G <= 1.0:
+        raise DomainError(f"gain must satisfy G > 1, got {G}")
+    n_s, kappa, n_b = params.n_s, params.kappa, params.n_b
+    n0 = G * n_s + (G - 1.0) * (1.0 + n_b)
+    a = (G - 1.0) * kappa * n_s
+    b = 2.0 * math.sqrt(G * (G - 1.0)) * math.sqrt(kappa * n_s * (n_s + 1.0))
+    n1 = n0 + a + b
+    if not math.isfinite(n1 * (n1 + 1.0)):
+        raise DomainError(f"OPA output statistics overflow at G={G!r}: n0={n0}, n1={n1}")
+    return n0, n1, a + b
+
+
 def opa_output_means(params, G: float) -> Tuple[float, float]:
     """Thermal means (N0, N1) of the OPA output mode under H0 and H1.
 
@@ -97,17 +113,7 @@ def opa_output_means(params, G: float) -> Tuple[float, float]:
     thermal mode of mean N is sqrt(N (N+1)); the larger one, at N1,
     overflows first, so a non-finite N1 (N1 + 1) raises DomainError.
     """
-    if not math.isfinite(G) or G <= 1.0:
-        raise DomainError(f"gain must satisfy G > 1, got {G}")
-    n_s, kappa, n_b = params.n_s, params.kappa, params.n_b
-    n0 = G * n_s + (G - 1.0) * (1.0 + n_b)
-    n1 = (
-        n0
-        + (G - 1.0) * kappa * n_s
-        + 2.0 * math.sqrt(G * (G - 1.0)) * math.sqrt(kappa * n_s * (n_s + 1.0))
-    )
-    if not math.isfinite(n1 * (n1 + 1.0)):
-        raise DomainError(f"OPA output statistics overflow at G={G!r}: n0={n0}, n1={n1}")
+    n0, n1, _ = _opa_means(params, G)
     return n0, n1
 
 
@@ -290,24 +296,25 @@ def optimize_gain(params) -> Tuple[Optional[float], float]:
 def opa_bhattacharyya(params, G: float) -> Tuple[float, float, float]:
     """Per-mode Bhattacharyya overlap of the two OPA count laws.
 
-    Returns (q_b, r_b_exact, r_b_small_gain) where
+    Returns (q_b, r_b_exact, r_b_small_gain) where r_b_exact = -ln q_b and
 
-        q_b = 1 / (sqrt((1+N0)(1+N1)) - sqrt(N0 N1)),   r_b_exact = -ln q_b
+        1/q_b = sqrt((1+N0)(1+N1)) - sqrt(N0 N1),
+        1/q_b**2 = 1 + ((N1 - N0) / S)**2,   S = sqrt(N1 (1+N0)) + sqrt(N0 (1+N1)),
 
-    and r_b_small_gain is the weak-gain expansion with eps^2 = G - 1:
+    the second since (sqrt(N1 (1+N0)) - sqrt(N0 (1+N1))) S = N1 - N0.  It is
+    the one evaluated, with N1 - N0 summed from its two non-negative terms:
+    the amplified return (G-1) kappa n_s, and 2 sqrt(G(G-1)) sqrt(kappa n_s
+    (n_s+1)) from the return's phase-sensitive correlation with the idler.
+    So nothing cancels, and identical laws (kappa = 0) give exactly (1.0, 0.0).
+
+    r_b_small_gain is the weak-gain expansion with eps^2 = G - 1:
 
         eps^2 kappa n_s (n_s+1) /
             (2 n_s (n_s+1) + 2 eps^2 (1+2 n_s)(1+n_s+n_b))
     """
-    n0, n1 = opa_output_means(params, G)
-    denom = math.sqrt((1.0 + n0) * (1.0 + n1)) - math.sqrt(n0 * n1)
-    # Every N1 > N0 has q_b < 1, so a denominator at or below 1 there (or at
-    # or below 0 anywhere) means rounding ate N1 - N0.
-    if denom <= 0.0 or (denom <= 1.0 and n1 > n0):
-        raise DomainError(f"gain G={G!r} too large: Q_B no longer resolves "
-                          f"N0={n0!r} from N1={n1!r}")
-    # identical count laws (kappa = 0) are exact: 1/((1+N0) - N0) may round above 1
-    q_b, r_b_exact = (1.0, 0.0) if n1 == n0 else (1.0 / denom, math.log(denom))
+    n0, n1, gap = _opa_means(params, G)
+    root = math.sqrt(n1 * (1.0 + n0)) + math.sqrt(n0 * (1.0 + n1))
+    r_b_exact = 0.5 * math.log1p((gap / root) ** 2)
 
     eps2 = G - 1.0
     n_s, kappa, n_b = params.n_s, params.kappa, params.n_b
@@ -318,7 +325,7 @@ def opa_bhattacharyya(params, G: float) -> Tuple[float, float, float]:
             + 2.0 * eps2 * (1.0 + 2.0 * n_s) * (1.0 + n_s + n_b)
         )
     )
-    return q_b, r_b_exact, r_b_small
+    return math.exp(-r_b_exact), r_b_exact, r_b_small
 
 
 # --- optimal joint measurement ----------------------------------------------

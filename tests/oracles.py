@@ -4,8 +4,9 @@ None of these runs in a CLI command, so they live with the tests: the
 terminating 2F1 series of the closed form that build_rho1's elements are
 checked against, the moment and dense-matrix probes of a JointState, its
 health checks, the Fock-route overlap pair, the mpmath Pirandola-Lloyd
-overlap of the Gaussian pair, and the two photon-count pmfs.  The library
-never imports this module.
+overlap of the Gaussian pair, the mpmath Bhattacharyya exponent of the OPA
+count laws, and the two photon-count pmfs.  The library never imports
+this module.
 """
 
 import math
@@ -209,6 +210,18 @@ def gaussian_ln_q_s(n_s, kappa, n_b, s, dps=80):
         q = (4 * g(s, a0) * g(s, b) * g(1 - s, nu_plus) * g(1 - s, nu_minus)
              / mpmath.sqrt(mpmath.det(sigma)))
         return mpmath.log(q)
+
+
+def opa_bhattacharyya_exponent(n_s, kappa, n_b, G, dps=60):
+    """-ln Q_B = ln(sqrt((1+N0)(1+N1)) - sqrt(N0 N1)) of the two OPA count
+    laws at dps digits, with N0 and N1 built from the exact binary inputs.
+    The difference cancels about log10(N0) digits, so those are added."""
+    with mpmath.workdps(dps + int(math.log10(1.0 + G * (1.0 + n_s + n_b)))):
+        n_s, kappa, n_b, G = (mpmath.mpf(v) for v in (n_s, kappa, n_b, G))
+        n0 = G * n_s + (G - 1) * (1 + n_b)
+        n1 = (n0 + (G - 1) * kappa * n_s
+              + 2 * mpmath.sqrt(G * (G - 1)) * mpmath.sqrt(kappa * n_s * (n_s + 1)))
+        return mpmath.log(mpmath.sqrt((1 + n0) * (1 + n1)) - mpmath.sqrt(n0 * n1))
 
 
 # --- photon-count pmfs ----------------------------------------------------

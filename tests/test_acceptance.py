@@ -194,11 +194,13 @@ def test_criterion_08_bound_sandwich(ref_params, ref_overlaps):
     hom_ok = True
     for k in ks:
         triples = {
-            name: error_prob_bounds(q_half, q_qcb, k)
+            name: error_prob_bounds(math.log(q_half), math.log(q_qcb), k)
             for name, (q_half, q_qcb) in ref_overlaps.items()
         }
         for b in triples.values():
-            if not (b.lower <= b.upper_qcb + slack and b.upper_qcb <= b.upper_bhatt + slack):
+            lower, upper_qcb, upper_bhatt = (
+                10.0**leg for leg in (b.log10_lower, b.log10_upper_qcb, b.log10_upper_bhatt))
+            if not (lower <= upper_qcb + slack and upper_qcb <= upper_bhatt + slack):
                 order_ok = False
         _, log10_hom = homodyne_error(ref_params, k)
         b_c = triples["classical"]

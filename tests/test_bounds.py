@@ -393,24 +393,27 @@ class TestCoherentClosedForm:
 
 class TestErrorProbBounds:
     def test_indistinguishable_states(self):
-        b = error_prob_bounds(1.0, 1.0, 7)
-        assert (b.lower, b.upper_qcb, b.upper_bhatt) == (0.5, 0.5, 0.5)
+        b = error_prob_bounds(0.0, 0.0, 7)
+        legs = (b.log10_lower, b.log10_upper_qcb, b.log10_upper_bhatt)
+        assert tuple(10.0**leg for leg in legs) == (0.5, 0.5, 0.5)
         assert b.log10_lower == pytest.approx(math.log10(0.5), abs=1e-15)
 
     def test_upper_bound_is_half_q_to_the_k(self):
         r = 1e-5
-        b = error_prob_bounds(math.exp(-r / 2), math.exp(-r), 10**6)
-        assert b.upper_qcb == pytest.approx(math.exp(-10.0) / 2, rel=1e-9)
-        assert b.upper_bhatt == pytest.approx(math.exp(-5.0) / 2, rel=1e-9)
+        b = error_prob_bounds(-r / 2, -r, 10**6)
+        assert 10.0**b.log10_upper_qcb == pytest.approx(math.exp(-10.0) / 2, rel=1e-9)
+        assert 10.0**b.log10_upper_bhatt == pytest.approx(math.exp(-5.0) / 2, rel=1e-9)
 
     def test_lower_bound_closed_form(self):
-        b = error_prob_bounds(0.999999, 0.999999, 10**6)
+        ln_q = math.log(0.999999)
+        b = error_prob_bounds(ln_q, ln_q, 10**6)
         want = (1.0 - math.sqrt(1.0 - math.exp(-2.0))) / 2.0
-        assert b.lower == pytest.approx(want, rel=1e-5)
+        assert 10.0**b.log10_lower == pytest.approx(want, rel=1e-5)
 
     def test_deep_tail_stays_finite_in_log10(self):
-        b = error_prob_bounds(0.9999, 0.9999, 10**8)
-        assert b.lower == 0.0 and b.upper_qcb == 0.0
+        ln_q = math.log(0.9999)
+        b = error_prob_bounds(ln_q, ln_q, 10**8)
+        assert 10.0**b.log10_lower == 0.0 and 10.0**b.log10_upper_qcb == 0.0
         assert b.log10_lower == pytest.approx(-8686.926, abs=1e-2)
         assert math.isfinite(b.log10_upper_qcb)
         assert b.log10_lower <= b.log10_upper_qcb <= b.log10_upper_bhatt
@@ -421,33 +424,44 @@ class TestErrorProbBounds:
     def test_ordering_on_physical_pairs(self, q_qcb, u, k):
         """Log-convexity of Q_s pins Q_half between Q_qcb and sqrt(Q_qcb);
         the sandwich must be ordered on that whole strip."""
-        b = error_prob_bounds(q_qcb**u, q_qcb, k)
-        assert -1e-12 <= b.lower <= b.upper_qcb + 1e-12
-        assert b.upper_qcb <= b.upper_bhatt <= 0.5 + 1e-12
+        ln_q = math.log(q_qcb)
+        b = error_prob_bounds(u * ln_q, ln_q, k)
+        lower, upper_qcb, upper_bhatt = (
+            10.0**leg for leg in (b.log10_lower, b.log10_upper_qcb, b.log10_upper_bhatt))
+        assert -1e-12 <= lower <= upper_qcb + 1e-12
+        assert upper_qcb <= upper_bhatt <= 0.5 + 1e-12
         assert b.log10_lower <= b.log10_upper_qcb + 1e-12
         assert b.log10_upper_qcb <= b.log10_upper_bhatt + 1e-12
 
+    def test_log_overlaps_taken_as_given(self):
+        """ln Q_half = -1e-9 at K = 1e6: the legs are exact functions of
+        K ln Q, with no round trip through Q = exp(ln Q)."""
+        b = error_prob_bounds(-1e-9, -2e-9, 10**6)
+        assert b.log10_upper_qcb == pytest.approx(-2e-3 / math.log(10.0) + math.log10(0.5),
+                                                  rel=1e-15)
+        assert b.log10_upper_bhatt == pytest.approx(-1e-3 / math.log(10.0) + math.log10(0.5),
+                                                    rel=1e-15)
+
     def test_rejects_inverted_and_invalid_inputs(self):
         with pytest.raises(DomainError):
-            error_prob_bounds(0.5, 0.9, 10)  # q_qcb above q_half
+            error_prob_bounds(math.log(0.5), math.log(0.9), 10)  # ln_q_min above ln_q_half
         with pytest.raises(DomainError):
-            error_prob_bounds(1.0, 0.0, 10)
+            error_prob_bounds(0.0, -math.inf, 10)
         with pytest.raises(DomainError):
-            error_prob_bounds(1.1, 1.0, 10)
+            error_prob_bounds(math.log(1.1), 0.0, 10)
         with pytest.raises(DomainError):
-            error_prob_bounds(0.9, 0.8, 0)
+            error_prob_bounds(math.nan, -1.0, 10)
+        with pytest.raises(DomainError):
+            error_prob_bounds(math.log(0.9), math.log(0.8), 0)
 
     def test_unphysical_pair_breaks_the_sandwich(self):
-        # q_half**2 > q_qcb violates log-convexity; lower tops upper_qcb
+        # 2 ln q_half > ln q_qcb violates log-convexity; lower tops upper_qcb
         with pytest.raises(DomainError):
-            error_prob_bounds(0.9, 0.5, 1)
+            error_prob_bounds(math.log(0.9), math.log(0.5), 1)
 
     def test_triple_ordering_enforced_on_construction(self):
         with pytest.raises(DomainError):
             BoundTriple(
-                lower=0.3,
-                upper_qcb=0.2,
-                upper_bhatt=0.25,
                 log10_lower=math.log10(0.3),
                 log10_upper_qcb=math.log10(0.2),
                 log10_upper_bhatt=math.log10(0.25),
@@ -458,26 +472,25 @@ class TestErrorProbBounds:
                                       (-500.0, -450.0, -0.1)],    # upper_bhatt > 1/2
                              ids=["lower", "upper_qcb", "upper_bhatt"])
     def test_ordering_checked_on_log_legs_past_underflow(self, logs):
-        """At large K every linear leg underflows to 0.0; the log legs keep
-        the order, so an out-of-order triple there must still be rejected."""
+        """At large K every bound underflows to 0.0 as a probability; the
+        log legs keep the order, so an out-of-order triple there must still
+        be rejected."""
         with pytest.raises(DomainError):
             BoundTriple(
-                lower=0.0,
-                upper_qcb=0.0,
-                upper_bhatt=0.0,
                 log10_lower=logs[0],
                 log10_upper_qcb=logs[1],
                 log10_upper_bhatt=logs[2],
             )
 
     def test_unphysical_pair_rejected_past_underflow(self):
-        # q_half**2 > q_qcb again, at a K where every linear leg is 0.0
+        # 2 ln q_half > ln q_qcb again, at a K where every bound underflows
         with pytest.raises(DomainError):
-            error_prob_bounds(0.99, 0.98, 10**8)
+            error_prob_bounds(math.log(0.99), math.log(0.98), 10**8)
 
-    def test_underflowed_linear_legs_accepted_in_order(self):
-        b = error_prob_bounds(0.99, 0.985, 10**8)
-        assert b.lower == b.upper_qcb == b.upper_bhatt == 0.0
+    def test_underflowed_legs_accepted_in_order(self):
+        b = error_prob_bounds(math.log(0.99), math.log(0.985), 10**8)
+        legs = (b.log10_lower, b.log10_upper_qcb, b.log10_upper_bhatt)
+        assert all(10.0**leg == 0.0 for leg in legs)
         assert b.log10_lower < b.log10_upper_qcb < b.log10_upper_bhatt < -300.0
 
 

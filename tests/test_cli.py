@@ -26,6 +26,8 @@ import qillum.cli
 import qillum.receivers
 from qillum.cli import _check_error_curves, _coherent_exponent, main
 
+from oracles import opa_bhattacharyya_exponent
+
 FAST_CONFIG = """\
 # low-background scenario, cheap to build
 n_s = 0.01
@@ -391,9 +393,10 @@ class TestSweepCommand:
         _, header, rows = read_csv(out / "sweep.csv")
         assert header[0] == "n_b" and header[-1] == "r_b_ratio"
         ratios = [float(row[-1]) for row in rows]
-        assert ratios[0] == pytest.approx(0.817421767095974, rel=1e-9)
-        assert ratios[1] == pytest.approx(0.737175276114391, rel=1e-9)
-        assert ratios[2] == pytest.approx(0.49746251500642985, rel=1e-9)
+        # r_b_exact / (kappa n_s / 2 n_b) at G = 1 + n_s/sqrt(n_b); mpmath at 60 digits
+        assert ratios[0] == pytest.approx(0.8174217673477985, rel=1e-9)
+        assert ratios[1] == pytest.approx(0.7371752711382517, rel=1e-9)
+        assert ratios[2] == pytest.approx(0.4974625659451588, rel=1e-9)
         assert ratios[0] > ratios[1] > ratios[2]
 
     def test_gain_axis_unimodal(self, tmp_path, capsys):
@@ -458,21 +461,53 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("qillum: ") and "no longer resolve" in err
 
-    @pytest.mark.parametrize("argv,config", [
-        (["exponents", "--gain", "1e20"], None),
-        (["exponents", "--gain", "1e200"], None),
-        (["sweep", "--axis", "gain", "--grid", "1.01,1e20"], None),
-        (["exponents", "--gain", "1e20"], "n_s = 0.01\nkappa = 0\nn_b = 5\n"),
-    ], ids=["exponents-1e20", "exponents-1e200", "sweep-1e20", "exponents-1e20-kappa0"])
-    def test_unresolved_exponent_gain_exits_one(self, tmp_path, capsys, argv, config):
+    @pytest.mark.parametrize("argv", [["exponents", "--gain", "1e200"]],
+                             ids=["exponents-1e200"])
+    def test_unresolved_exponent_gain_exits_one(self, tmp_path, capsys, argv):
+        """At G = 1e200 the OPA output means overflow."""
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qillum: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,config,gains", [
+        (["exponents", "--gain", "1e20"], None, [1e20]),
+        (["sweep", "--axis", "gain", "--grid", "1.01,1e20"], None, [1.01, 1e20]),
+        (["exponents", "--gain", "1e20"], "n_s = 0.01\nkappa = 0\nn_b = 5\n", [1e20]),
+    ], ids=["exponents-1e20", "sweep-1e20", "exponents-1e20-kappa0"])
+    def test_huge_exponent_gain_resolves(self, tmp_path, capsys, argv, config, gains):
+        """r_b_exact has no cancellation to lose N1 - N0 to, so a huge
+        explicit gain gives its mpmath value (0 for identical count laws)."""
+        n_s, kappa, n_b = 0.01, 0.01, 20.0
         argv = argv + ["--out", str(tmp_path)]
         if config is not None:
+            n_s, kappa, n_b = 0.01, 0.0, 5.0
             cfg = tmp_path / "scenario.cfg"
             cfg.write_text(config, encoding="ascii")
             argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        if argv[0] == "sweep":
+            _, header, rows = read_csv(tmp_path / "sweep.csv")
+            got = [float(row[header.index("r_b_exact")]) for row in rows]
+        else:
+            _, _, rows = read_csv(tmp_path / "exponents.csv")
+            got = [float(row[1]) for row in rows if row[0] == "r_b_exact"]
+        want = [opa_bhattacharyya_exponent(n_s, kappa, n_b, g) for g in gains]
+        assert len(got) == len(want)
+        for r_b, r_ref in zip(got, want):
+            assert abs(r_b - r_ref) <= 4e-15 * r_ref
+
+    @pytest.mark.parametrize("command", [["bounds"], ["exponents"],
+                                         ["sweep", "--axis", "n_b", "--grid", "20,1e4"]],
+                             ids=["bounds", "exponents", "sweep"])
+    def test_float_overflow_exits_one(self, tmp_path, capsys, command):
+        """At G = 1e150 and n_b = 1e4 the OPA means are finite, but R_OPA's
+        squared sum of their deviations overflows."""
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("n_s = 1e-4\nkappa = 0.01\nn_b = 1e4\n", encoding="ascii")
+        argv = command + ["--config", str(cfg), "--gain", "1e150", "--out", str(tmp_path)]
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("qillum: ") and "Traceback" not in err
+        assert capsys.readouterr().err.startswith("qillum: float overflow")
 
     def test_computation_error_exits_one(self, tmp_path, capsys):
         # n_b = 0 passes parameter validation but has no defined exponents
@@ -614,9 +649,10 @@ def columns_sha(path, keep):
 
 class TestGoldenBytes:
     """Deterministic CSV columns pinned by SHA-256, so a change meant to keep
-    every output byte-identical cannot move one unnoticed.  Columns computed
-    from eigh (r_q_numeric, the quantum bounds, the Helstrom vote) are left
-    out, because LAPACK builds may differ in the last bits."""
+    every output byte-identical cannot move one unnoticed.  The Helstrom
+    vote columns come from eigh and are left out, because LAPACK builds may
+    differ in the last bits; r_q_numeric and the quantum bounds are closed
+    forms and are pinned."""
 
     SCENARIOS = {
         "default": None,
@@ -629,52 +665,50 @@ class TestGoldenBytes:
                        None),
         "sweep_n_b": (["sweep", "--axis", "n_b", "--grid", "1,10,100,1000"], "sweep.csv", None),
         "exponents": (["exponents"], "exponents.csv", None),
-        "bounds": (["bounds"], "bounds.csv",
-                   ["K", "lower_classical", "upper_classical", "homodyne", "opa_exact",
-                    "opa_gaussian"]),
+        "bounds": (["bounds"], "bounds.csv", None),
         "helstrom": (["helstrom"], "helstrom.csv", ["K", "opa_exact"]),
     }
     GOLDEN = {
         ("bright_scan", "bounds"):
-            "6925d4bc823ad273274f44474aeb468a89f05602e73b430307db4c0ae500b207",
+            "71a59b0246a3ce74f985a02a84cfd1a97b5c48330d023fbc05911983a3ffb37a",
         ("bright_scan", "exponents"):
-            "6464eb4c3335e6ccd559ac8ae0c2f023396647565ea4a26d82694e278b3232bc",
+            "eb426fad6ffbf953be0bdb22c518eb5340c5c886869471256998ada060e5068a",
         ("bright_scan", "helstrom"):
             "e528422655b6b139cf3c9c380b9f5cc5df6606292e9a2d16dc039dbe09c33a48",
         ("bright_scan", "sweep_gain"):
-            "323942e46a510ebb7d6f15cafba01160da89f4cc373fffa8f11678d2a03a5bf6",
+            "8f1528409a752d83f00bdad7a6c7cae054bf0ab49b2e3c53b5241811eed853c9",
         ("bright_scan", "sweep_n_b"):
-            "002ddee359b57d020d92f1408116a77fbaeabb7f46ebe658a3e4bb8520bf9432",
+            "b7d74c9a09cd1205a4640409b44340e8b22160c62abe758eedd47d1a7b47c635",
         ("click_bhatt", "bounds"):
-            "70349054c4098f08db92866f7b9a4036ba49c9197574764961577e6669fa1188",
+            "af1342c9edaa3ce8fce7993f59b545566e6c8ec6f0bd6505350011111d951546",
         ("click_bhatt", "exponents"):
-            "92695a1fdf65cbd92fcfa259f76b92d16c875a501d0475d87b1f7c5d9e512a7b",
+            "af87063f4544e4cf7513d01ac8132663fa4438648f1c3edbf28f6ed3c1357d6a",
         ("click_bhatt", "helstrom"):
             "f5e9bfb7dfc1db0299e3c44ef63e09bdcaca30be4cc0ae621ddf19a9ada6b6db",
         ("click_bhatt", "sweep_gain"):
-            "ab71217763b2dcfabdd4a965ea94963296ae3ae3cf782adccae47bf248f843ea",
+            "32d62fb6150d58d0ba1972447e9db8c29ef0cba7073b06ee846a6135a932627b",
         ("click_bhatt", "sweep_n_b"):
-            "d940083410207786a9392e826a5c88aa83e360a6ef37ef9b8155f765bae7d7d8",
+            "9b50afdfe99bd6a3d8eb9d6509fb8f8c3310b984bf65b0c7a888ab520d27f887",
         ("default", "bounds"):
-            "551e4f2156064ac0c73bf9cfeedd22ed15b28725ea52f81c5729499009ccc693",
+            "f959914478d19692987b7ef3a0f1dc93f86e086fc4826d428dfc9e007f78978a",
         ("default", "exponents"):
-            "50ffbb113470dad28f7eef902a12b64a249c02f270567993b6a814dd38c7744d",
+            "155a20a9ac71b2a6fd6e1fe1e773bd32b4772197fcb50bfadf74f120eaf3a08b",
         ("default", "helstrom"):
             "cb634986e7aa0db98c6d4ce6f13279d1d3fb34e5217746863cadab37091976bc",
         ("default", "sweep_gain"):
-            "39608a664d28d89d27ca73aefb0b077523e16ad36d535e2ce1c0a032a24c7596",
+            "dd2336e86b185bf9ac1acba03ac29f32bf66a9358117ef099d24f6860d01af60",
         ("default", "sweep_n_b"):
-            "4aa78a0dad9e67fd7d538fee2d216fbb69258e331cacb9e82d3b1edd52997fb4",
+            "29581bd0426cd8f0dc375e6b8d5154cd30a9c55ecd1f06be1a88fc3dfb07ffb6",
     }
 
     # meta.txt and stdout of the same runs.  Left out as eigh-derived: the
-    # helstrom single-shot note and the r_q_numeric stdout line.  The out
-    # directory is replaced by <out> in stdout.
+    # helstrom single-shot note.  The out directory is replaced by <out> in
+    # stdout.
     GOLDEN_META_STDOUT = {
         ("bright_scan", "bounds"):
             "80dd6494ed0b277823dcf8c4d83100d572132181aef1826015d60a0a16149ffd",
         ("bright_scan", "exponents"):
-            "538f2f33bec5f5037d6a84b5c8f3605407bc425e3c409ed71f5a867391b104e8",
+            "67e794e8f723b6651833998dd26e81cac71e87f834a7ce8754a467d3d8ac443a",
         ("bright_scan", "helstrom"):
             "dc58a39c10f06a7d356d420afccd833f9fe9b478ab1c58d6e73768fffd35f415",
         ("bright_scan", "sweep_gain"):
@@ -684,7 +718,7 @@ class TestGoldenBytes:
         ("click_bhatt", "bounds"):
             "c5d57aaab5e98e4a65f53eb6bd2a7e0d426748519c0bfc107605575b398165c8",
         ("click_bhatt", "exponents"):
-            "76237235ee7effcf950dac0fdd778717532c1c4808efdf09bbd6db1460cd7194",
+            "6977624362d05ff1ef9cf32538beb8c0b4c4adeba4173546034f1fc1e5350a8c",
         ("click_bhatt", "helstrom"):
             "a6e70e9774d8515958bdf13d6a36f255335ae9033dda4af2032fe180b3314904",
         ("click_bhatt", "sweep_gain"):
@@ -694,7 +728,7 @@ class TestGoldenBytes:
         ("default", "bounds"):
             "c2e2f4b4f1d12f7873042612ce1c95248604cf8d0e1f8ba25ad29e2c93cfb446",
         ("default", "exponents"):
-            "7a80e1da11173db373e829f120106aecf8d5fca3376d03920ce3ee25120fb42f",
+            "0b2950a125600c94c2a42c2873632a6c0689b12e7644733bc0753041ed5d66ab",
         ("default", "helstrom"):
             "6f0cecc7b49a7ee4dbcd00e8b160f540c5999666fde2e7a8c33d43f136392105",
         ("default", "sweep_gain"):
@@ -718,11 +752,7 @@ class TestGoldenBytes:
         self.run_command(tmp_path, capsys, scenario, run)
         _, name, keep = self.RUNS[run]
         path = tmp_path / name
-        if run == "exponents":
-            lines = path.read_text(encoding="ascii").splitlines(keepends=True)
-            data = "".join(line for line in lines if not line.startswith("r_q_numeric,"))
-            digest = hashlib.sha256(data.encode("ascii")).hexdigest()
-        elif keep is None:
+        if keep is None:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
         else:
             digest = columns_sha(path, keep)
@@ -734,6 +764,6 @@ class TestGoldenBytes:
         stdout = self.run_command(tmp_path, capsys, scenario, run).replace(str(tmp_path), "<out>")
         meta = (tmp_path / "meta.txt").read_text(encoding="ascii")
         kept = [line for line in (meta + stdout).splitlines(keepends=True)
-                if not line.startswith(("note=helstrom single shot:", "r_q_numeric "))]
+                if not line.startswith("note=helstrom single shot:")]
         digest = hashlib.sha256("".join(kept).encode("ascii")).hexdigest()
         assert digest == self.GOLDEN_META_STDOUT[scenario, run]

@@ -12,7 +12,10 @@ from qillum import (
     DomainError,
     ScenarioParams,
     TruncationSpec,
+    build_rho0,
+    build_rho1,
     error_prob_bounds,
+    gaussian_chernoff,
     half_erfc_sqrt,
     helstrom_single_shot,
     homodyne_error,
@@ -30,7 +33,7 @@ from qillum import receivers
 from qillum.fockspace import JointState
 from qillum.receivers import _lr_threshold
 
-from oracles import idler_photon_pmf, min_eigenvalue, opa_count_pmf
+from oracles import idler_photon_pmf, min_eigenvalue, opa_bhattacharyya_exponent, opa_count_pmf
 
 REF = ScenarioParams(n_s=0.01, kappa=0.01, n_b=20.0)
 G_REF = 1.005
@@ -500,17 +503,47 @@ class TestOpaBhattacharyya:
         _, r_ex, r_sm = opa_bhattacharyya(REF, g)
         assert r_sm == pytest.approx(1.946270800106587e-6, rel=1e-9)
         assert abs(r_sm - 1.95e-6) <= 5e-9
-        assert r_ex == pytest.approx(1.8636441303760594e-6, rel=1e-9)
+        # mpmath at 60 digits
+        assert r_ex == pytest.approx(1.8636441304801593e-6, rel=1e-9)
 
     def test_exact_form_matches_gaussian_exponent_at_optimum(self):
         g_star, r_opa = optimize_gain(REF)
         _, r_ex, _ = opa_bhattacharyya(REF, g_star)
         assert abs(r_ex - r_opa) / r_opa <= 1e-4
 
+    def test_exact_form_against_mpmath(self):
+        """The closed form log1p(((N1 - N0)/S)^2)/2 against the cancelling
+        definition at 60 digits: 2000 seeded draws, log-uniform over n_s
+        1e-6..1, kappa 1e-4..1, n_b 1e-2..1e6 and G-1 1e-9..1e3, plus the
+        huge gains 1e10, 1e20 and 1e100 at the reference scenario."""
+        rng = np.random.default_rng(20091)
+        draws = 10.0 ** rng.uniform([-6, -4, -2, -9], [0, 0, 6, 3], size=(2000, 4))
+        cases = [(n_s, kappa, n_b, 1.0 + g1) for n_s, kappa, n_b, g1 in draws.tolist()]
+        cases += [(REF.n_s, REF.kappa, REF.n_b, g) for g in (1e10, 1e20, 1e100)]
+        for n_s, kappa, n_b, g in cases:
+            _, r_ex, _ = opa_bhattacharyya(ScenarioParams(n_s, kappa, n_b), g)
+            want = opa_bhattacharyya_exponent(n_s, kappa, n_b, g)
+            assert abs(r_ex - want) <= 4e-15 * want, (n_s, kappa, n_b, g)
+
+    GAUSSIAN_POINTS = [(0.01, 0.01, 20.0), (0.01, 0.3, 1.0), (0.01, 0.01, 100.0),
+                       (1e-4, 0.01, 1e4), (1e-6, 0.01, 1e6), (1.0, 0.95, 0.05)]
+
+    @pytest.mark.parametrize("n_s, kappa, n_b", GAUSSIAN_POINTS)
+    def test_below_quantum_half_exponent(self, n_s, kappa, n_b):
+        """No measurement beats the fidelity, and the fidelity is at least
+        Q_half, so r_b_exact <= -ln Q_half at every gain: here G-1 runs
+        over quarter decades from 1e-9 to 1e20."""
+        params = ScenarioParams(n_s, kappa, n_b)
+        _, _, ln_q_half = gaussian_chernoff(params)
+        for j in range(117):
+            _, r_ex, _ = opa_bhattacharyya(params, 1.0 + 10.0 ** (-9.0 + j / 4.0))
+            assert 0.0 <= r_ex <= -ln_q_half
+
+    # r_b_exact / (kappa n_s / 2 n_b) at G = 1 + n_s/sqrt(n_b); mpmath at 60 digits
     EXACT_RATIOS = {
-        1e2: 0.817421767095974,
-        1e3: 0.737175276114391,
-        1e4: 0.49746251500642985,
+        1e2: 0.8174217673477985,
+        1e3: 0.7371752711382517,
+        1e4: 0.4974625659451588,
     }
     SMALL_RATIOS = {
         1e2: 0.8927766414273025,
@@ -683,8 +716,24 @@ class TestHelstrom:
     def test_sits_above_overlap_lower_bound(self, ref_helstrom, spdc_pair):
         q_half = q_s(*spdc_pair, 0.5)
         _, q_min, _ = qcb(*spdc_pair)
-        lower = error_prob_bounds(q_half, q_min, 1).lower
+        lower = 10.0**error_prob_bounds(math.log(q_half), math.log(q_min), 1).log10_lower
         assert ref_helstrom.pe_single >= lower - 1e-12
+
+    @pytest.mark.parametrize("n_s, kappa, n_b", [
+        (0.01, 0.01, 20.0), (0.01, 0.3, 1.0), (0.01, 0.01, 100.0), (0.01, 0.01, 1e3),
+        (0.1, 0.5, 0.01), (0.3, 0.5, 0.05), (1.0, 0.95, 0.05)])
+    def test_inside_single_copy_gaussian_sandwich(self, n_s, kappa, n_b):
+        """At K = 1, (1 - sqrt(1 - Q_half^2))/2 <= pe_single <= Q_min/2, with
+        both overlaps from the closed form.  The truncated states may move
+        pe_single by a few tail tolerances, so the bounds get 3 of them."""
+        params = ScenarioParams(n_s, kappa, n_b)
+        trunc = TruncationSpec.for_params(params, tail_tol=1e-9)
+        pe = helstrom_single_shot(build_rho0(params, trunc), build_rho1(params, trunc)).pe_single
+        _, ln_q_min, ln_q_half = gaussian_chernoff(params)
+        b = error_prob_bounds(ln_q_half, ln_q_min, 1)
+        slack = 3e-9
+        assert b.log10_lower <= math.log10(pe + slack)
+        assert math.log10(pe - slack) <= b.log10_upper_qcb
 
     def test_rejects_non_joint_states(self):
         with pytest.raises(DomainError):
