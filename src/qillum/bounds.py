@@ -140,17 +140,23 @@ def _gaussian_ln_q(params):
     return ln_q
 
 
+def _chernoff_min(overlap, log: bool) -> Tuple[float, float, float]:
+    """(s_star, minimum, value at s = 1/2) of s -> Q_s, or of s -> ln Q_s if log:
+    the golden section of qcb, with s = 1/2 as a candidate and as s_star
+    where 1 - Q_min <= _FLAT_Q_TOL."""
+    s_best, best = golden_section_min(overlap, 0.0, 1.0, _S_TOL)
+    half = overlap(0.5)
+    if half <= best:
+        s_best, best = 0.5, half
+    if (-math.expm1(best) if log else 1.0 - best) <= _FLAT_Q_TOL:
+        s_best = 0.5
+    return s_best, best, half
+
+
 def gaussian_chernoff(params) -> Tuple[float, float, float]:
     """(s_star, ln_q_min, ln_q_half) of the SPDC return-idler pair: the search
     of qcb, run on the convex closed-form ln Q_s."""
-    ln_q = _gaussian_ln_q(params)
-    s_best, ln_best = golden_section_min(ln_q, 0.0, 1.0, _S_TOL)
-    ln_half = ln_q(0.5)
-    if ln_half <= ln_best:
-        s_best, ln_best = 0.5, ln_half
-    if -math.expm1(ln_best) <= _FLAT_Q_TOL:
-        s_best = 0.5
-    return s_best, ln_best, ln_half
+    return _chernoff_min(_gaussian_ln_q(params), log=True)
 
 
 # --- Fock cross-check --------------------------------------------------------
@@ -192,14 +198,7 @@ class _SpectralPair:
 
     def chernoff(self) -> Tuple[float, float, float]:
         """(s_star, q_min, q_half): the search behind qcb."""
-        s_best, q_best = golden_section_min(self.q_s, 0.0, 1.0, _S_TOL)
-        q_half = self.q_s(0.5)
-        if q_half <= q_best:
-            s_best, q_best = 0.5, q_half
-
-        if 1.0 - q_best <= _FLAT_Q_TOL:
-            s_best = 0.5
-        return s_best, q_best, q_half
+        return _chernoff_min(self.q_s, log=False)
 
 
 def q_s(rho0, rho1, s: float) -> float:

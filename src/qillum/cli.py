@@ -346,32 +346,44 @@ def cmd_sweep(args, params: ScenarioParams, receiver: ReceiverConfig,
 # --- argument parsing -----------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, with_out_default: Optional[str]) -> None:
-    sub.add_argument("--config", metavar="PATH",
-                     help="flat key=value scenario file (default: built-in example scenario)")
-    sub.add_argument("--tail-tol", type=float, default=1e-9, metavar="TOL",
-                     help="truncation tail tolerance (default 1e-9)")
-    sub.add_argument("--gain", metavar="G",
-                     help=f"OPA gain: number > 1, '{GAIN_AUTO}' or '{GAIN_BHATT}'")
-    sub.add_argument("--threshold-policy",
-                     choices=[p.value for p in ThresholdPolicy],
-                     help="threshold selection rule for the OPA receiver")
-    sub.add_argument("--count-model",
-                     choices=[m.value for m in CountModel],
-                     help="photon counting statistics at the OPA output")
-    if with_out_default is None:
-        sub.add_argument("--out", metavar="DIR", default=None,
-                         help="also write CSV artifacts to DIR")
-    else:
-        sub.add_argument("--out", metavar="DIR", default=with_out_default,
-                         help=f"output directory (default {with_out_default!r})")
+def _enum_metavar(enum) -> str:
+    """The {a,b} that argparse would show for choices; parse_value checks the text."""
+    return "{" + ",".join(member.value for member in enum) + "}"
 
 
-def _add_k_grid(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--k-min", type=float, default=1e4, help="smallest K (default 1e4)")
-    sub.add_argument("--k-max", type=float, default=1e8, help="largest K (default 1e8)")
-    sub.add_argument("--k-points", type=int, default=30,
-                     help="log-spaced grid size before integer dedup (default 30)")
+# (flag, add_argument options) that every subcommand takes, ahead of --out
+_COMMON_FLAGS = (
+    ("--config", dict(metavar="PATH",
+                      help="flat key=value scenario file (default: built-in example scenario)")),
+    ("--tail-tol", dict(type=float, default=1e-9, metavar="TOL",
+                        help="truncation tail tolerance (default 1e-9)")),
+    ("--gain", dict(metavar="G", help=f"OPA gain: number > 1, '{GAIN_AUTO}' or '{GAIN_BHATT}'")),
+    ("--threshold-policy", dict(metavar=_enum_metavar(ThresholdPolicy),
+                                help="threshold selection rule for the OPA receiver")),
+    ("--count-model", dict(metavar=_enum_metavar(CountModel),
+                           help="photon counting statistics at the OPA output")),
+)
+
+# A grid: the flags after --out that set it, and the reader that main calls
+# on (args, params) before any work, so that a bad grid is a usage error.
+_NO_GRID = ((), lambda args, params: None)
+_K_GRID = ((
+    ("--k-min", dict(type=float, default=1e4, help="smallest K (default 1e4)")),
+    ("--k-max", dict(type=float, default=1e8, help="largest K (default 1e8)")),
+    ("--k-points", dict(type=int, default=30,
+                        help="log-spaced grid size before integer dedup (default 30)")),
+), lambda args, params: _k_grid(args.k_min, args.k_max, args.k_points))
+_SWEEP_GRID = ((
+    ("--axis", dict(required=True, choices=["kappa", "n_s", "n_b", "gain"],
+                    help="parameter to vary")),
+    ("--grid", dict(required=True, metavar="V1,V2,...", help="comma-separated grid values")),
+), lambda args, params: _sweep_points(params, args.axis, _parse_grid(args.grid)))
+
+
+def _out_flag(default: Optional[str]):
+    text = ("also write CSV artifacts to DIR" if default is None
+            else f"output directory (default {default!r})")
+    return "--out", dict(metavar="DIR", default=default, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,46 +393,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qillum {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p_bounds = commands.add_parser(
-        "bounds", help="error-probability sandwich for both transmitters over a K grid")
-    _add_common(p_bounds, with_out_default=".")
-    _add_k_grid(p_bounds)
-    p_bounds.set_defaults(run=cmd_bounds)
-
-    p_hel = commands.add_parser(
-        "helstrom", help="per-pair optimal measurement + majority vote vs the OPA receiver")
-    _add_common(p_hel, with_out_default=".")
-    _add_k_grid(p_hel)
-    p_hel.set_defaults(run=cmd_helstrom)
-
-    p_exp = commands.add_parser(
-        "exponents", help="closed-form and numeric error exponents for one scenario")
-    _add_common(p_exp, with_out_default=None)
-    p_exp.set_defaults(run=cmd_exponents)
-
-    p_sweep = commands.add_parser(
-        "sweep", help="exponent report along a grid of one parameter")
-    _add_common(p_sweep, with_out_default=".")
-    p_sweep.add_argument("--axis", required=True, choices=["kappa", "n_s", "n_b", "gain"],
-                         help="parameter to vary")
-    p_sweep.add_argument("--grid", required=True, metavar="V1,V2,...",
-                         help="comma-separated grid values")
-    p_sweep.set_defaults(run=cmd_sweep)
+    # Each subcommand once: runner, help line, --out default (None: the CSV
+    # only on request) and grid.  The runners are read from the module on
+    # every call, so wrappers installed on them see each command.
+    for name, run, help_line, out, (grid_flags, read_grid) in (
+        ("bounds", cmd_bounds,
+         "error-probability sandwich for both transmitters over a K grid", ".", _K_GRID),
+        ("helstrom", cmd_helstrom,
+         "per-pair optimal measurement + majority vote vs the OPA receiver", ".", _K_GRID),
+        ("exponents", cmd_exponents,
+         "closed-form and numeric error exponents for one scenario", None, _NO_GRID),
+        ("sweep", cmd_sweep,
+         "exponent report along a grid of one parameter", ".", _SWEEP_GRID),
+    ):
+        sub = commands.add_parser(name, help=help_line)
+        for flag, options in (*_COMMON_FLAGS, _out_flag(out), *grid_flags):
+            sub.add_argument(flag, **options)
+        sub.set_defaults(run=run, read_grid=read_grid)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         params, receiver = _load_setup(args)
-        # grids are parsed before any work, so malformed ones fail as usage errors
-        grid = None
-        if args.command == "sweep":
-            grid = _sweep_points(params, args.axis, _parse_grid(args.grid))
-        elif args.command in ("bounds", "helstrom"):
-            grid = _k_grid(args.k_min, args.k_max, args.k_points)
+        grid = args.read_grid(args, params)
     except (ParseError, DomainError) as exc:
         print(f"qillum: config error: {exc}", file=sys.stderr)
         return 2

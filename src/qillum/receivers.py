@@ -260,9 +260,13 @@ def opa_error_exact(
 
 
 def _r_opa(params, G: float) -> float:
-    """R_OPA = (N1-N0)^2 / (2 (sigma0+sigma1)^2), sigma = sqrt(N (N+1))."""
+    """R_OPA = (N1-N0)^2 / (2 (sigma0+sigma1)^2), sigma = sqrt(N (N+1)).
+    The square overflows below opa_output_means's guard: DomainError."""
     n0, n1 = opa_output_means(params, G)
-    return (n1 - n0) ** 2 / (2.0 * (math.sqrt(n0 * (n0 + 1.0)) + math.sqrt(n1 * (n1 + 1.0))) ** 2)
+    try:
+        return (n1 - n0) ** 2 / (2.0 * (math.sqrt(n0 * (n0 + 1.0)) + math.sqrt(n1 * (n1 + 1.0))) ** 2)
+    except OverflowError:
+        raise DomainError(f"float overflow in R_OPA at G={G!r}: n0={n0}, n1={n1}") from None
 
 
 def opa_error_gaussian(params, G: float, K: int) -> Tuple[float, float]:

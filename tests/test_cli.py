@@ -24,7 +24,7 @@ from qillum import (
 )
 import qillum.cli
 import qillum.receivers
-from qillum.cli import _check_error_curves, _coherent_exponent, main
+from qillum.cli import _check_error_curves, _coherent_exponent, build_parser, main
 
 from oracles import opa_bhattacharyya_exponent
 
@@ -596,6 +596,8 @@ class TestOneRefusal:
         in_file = self.from_file(tmp_path, capsys, f"{key} = {text}")
         assert in_file.startswith("line 4: ")
         assert repr(key) in in_file and repr(text) in in_file
+        as_flag = self.refuse(capsys, ["--" + key.replace("_", "-"), text])
+        assert in_file == f"line 4: {as_flag}"
 
 
 class TestNoTraceback:
@@ -637,6 +639,35 @@ class TestErrorCurve:
 
     def test_accepts_valid_curve(self):
         _check_error_curves(self.COLUMNS, [[1, -0.4], [10, -1.0]])
+
+
+class TestParserSurface:
+    """Every subcommand's flags and defaults, so that no flag is dropped or
+    renamed and no default moves unnoticed."""
+
+    COMMON = {"config": None, "tail_tol": 1e-9, "gain": None,
+              "threshold_policy": None, "count_model": None, "out": "."}
+    K_GRID = {"k_min": 1e4, "k_max": 1e8, "k_points": 30}
+    SURFACE = {
+        "bounds": (["bounds"], {"command": "bounds", **COMMON, **K_GRID}),
+        "helstrom": (["helstrom"], {"command": "helstrom", **COMMON, **K_GRID}),
+        "exponents": (["exponents"], {"command": "exponents", **COMMON, "out": None}),
+        "sweep": (["sweep", "--axis", "n_b", "--grid", "1"],
+                  {"command": "sweep", **COMMON, "axis": "n_b", "grid": "1"}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_dests_and_defaults(self, command):
+        argv, want = self.SURFACE[command]
+        got = {key: value for key, value in vars(build_parser().parse_args(argv)).items()
+               if not callable(value)}
+        assert got == want
+
+    def test_bad_axis_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "--axis", "temperature", "--grid", "1"])
+        assert exc.value.code == 2
+        assert "--axis" in capsys.readouterr().err
 
 
 def columns_sha(path, keep):

@@ -433,6 +433,18 @@ class TestOpaErrorGaussian:
         assert r_opa == 0.0
         assert pe == 0.5
 
+    @pytest.mark.parametrize("params, gain", [(REF, 3.2e152),
+                                              (ScenarioParams(1e-4, 0.01, 1e4), 1e150)],
+                             ids=["reference", "n_b=1e4"])
+    def test_overflow_is_a_domain_error(self, params, gain):
+        """(sigma0 + sigma1)**2 overflows at gains that opa_output_means still
+        accepts: from G = 3.19e152 at the reference scenario, 6.70e149 at
+        n_b = 1e4."""
+        opa_error_gaussian(REF, 3e152, 1)
+        with pytest.raises(DomainError, match="^float overflow") as exc:
+            opa_error_gaussian(params, gain, 1)
+        assert f"G={gain!r}" in str(exc.value)
+
 
 class TestOptimizeGain:
     def test_reference_optimum(self):
