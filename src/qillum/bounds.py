@@ -122,6 +122,9 @@ def _gaussian_ln_q(params):
     n_s, kappa, n_b = params.n_s, params.kappa, params.n_b
     kns = kappa * n_s
     a_plus_b = 2.0 * (kns + n_b + n_s + 1.0)
+    if not math.isfinite(a_plus_b * a_plus_b):  # no product below is larger
+        raise DomainError(f"float overflow in the Gaussian overlap at n_s={n_s!r}, "
+                          f"kappa={kappa!r}, n_b={n_b!r}")
     root = math.sqrt(a_plus_b * a_plus_b - 16.0 * kns * (n_s + 1.0))
     half_w = 4.0 * kns * (n_s + 1.0) / (root + a_plus_b)
 

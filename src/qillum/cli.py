@@ -11,12 +11,17 @@ All data files are plain CSV with a single ``# params=<digest>`` comment
 line; identical inputs produce byte-identical outputs (run metadata,
 which may vary, goes to a ``meta.txt`` sidecar).  Exit codes: 0 success,
 1 computation failure, 2 usage or configuration error.
+
+``main`` builds its parser on its first call and reuses it for the life of
+the process; it looks up ``cmd_<name>`` on every call, so a wrapper
+installed on a ``cmd_*`` function sees each command.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import math
 import sys
@@ -393,28 +398,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qillum {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-    # Each subcommand once: runner, help line, --out default (None: the CSV
-    # only on request) and grid.  The runners are read from the module on
-    # every call, so wrappers installed on them see each command.
-    for name, run, help_line, out, (grid_flags, read_grid) in (
-        ("bounds", cmd_bounds,
-         "error-probability sandwich for both transmitters over a K grid", ".", _K_GRID),
-        ("helstrom", cmd_helstrom,
-         "per-pair optimal measurement + majority vote vs the OPA receiver", ".", _K_GRID),
-        ("exponents", cmd_exponents,
-         "closed-form and numeric error exponents for one scenario", None, _NO_GRID),
-        ("sweep", cmd_sweep,
-         "exponent report along a grid of one parameter", ".", _SWEEP_GRID),
+    # Each subcommand once: help line, --out default (None: the CSV only on
+    # request) and grid.  Its runner is cmd_<name>.
+    for name, help_line, out, (grid_flags, read_grid) in (
+        ("bounds", "error-probability sandwich for both transmitters over a K grid", ".",
+         _K_GRID),
+        ("helstrom", "per-pair optimal measurement + majority vote vs the OPA receiver", ".",
+         _K_GRID),
+        ("exponents", "closed-form and numeric error exponents for one scenario", None,
+         _NO_GRID),
+        ("sweep", "exponent report along a grid of one parameter", ".", _SWEEP_GRID),
     ):
         sub = commands.add_parser(name, help=help_line)
         for flag, options in (*_COMMON_FLAGS, _out_flag(out), *grid_flags):
             sub.add_argument(flag, **options)
-        sub.set_defaults(run=run, read_grid=read_grid)
+        sub.set_defaults(read_grid=read_grid)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         params, receiver = _load_setup(args)
         grid = args.read_grid(args, params)
@@ -425,7 +433,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"qillum: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        args.run(args, params, receiver, grid)
+        # looked up on every call, so wrappers installed on cmd_* see each command
+        globals()["cmd_" + args.command](args, params, receiver, grid)
     except QIError as exc:
         print(f"qillum: {exc}", file=sys.stderr)
         return 1

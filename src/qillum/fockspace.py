@@ -52,6 +52,9 @@ def thermal_cutoff(mean: float, tail_tol: float) -> int:
     if mean == 0.0:
         return 0
     x = mean / (mean + 1.0)
+    if not x < 1.0:  # log(x) would be 0: no finite cutoff reaches the tolerance
+        raise DomainError(f"thermal mean {mean!r} too large for a cutoff at "
+                          f"tail_tol={tail_tol!r}: mean/(mean+1) rounds to 1")
     n = max(0, math.ceil(math.log(tail_tol) / math.log(x)) - 1)
     # one-step fixups against floating-point edge cases
     while x ** (n + 1) > tail_tol:

@@ -144,3 +144,30 @@ def test_bench_output_checks_pass(bench_checks, tmp_path, capsys, command, n_s, 
     assert main([command, "--config", str(cfg), "--out", str(tmp_path), *cmd.args]) == 0
     capsys.readouterr()
     assert checks.check_command(cmd, tmp_path) == []
+
+
+def test_tracer_sees_every_command_of_the_reused_parser(tmp_path, capsys):
+    """main keeps one parser per process but looks up cmd_<name> on each
+    call: after a warm call, a traced bounds run at the opa_scan point has
+    cli.main and cli.cmd_bounds spans, no cli.build_parser span, and the
+    CSV bytes of the untraced run."""
+    from qillum import cli
+
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("n_s=0.01\nkappa=0.3\nn_b=1.0\nthreshold_policy=optimal_scan\n",
+                   encoding="ascii")
+    argv = ["bounds", "--config", str(cfg), "--tail-tol", "1e-9", "--out"]
+    assert cli.main(argv + [str(tmp_path / "plain")]) == 0
+    tracer = load_bench_tracing().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(argv + [str(tmp_path / "traced")])
+    finally:
+        tracer.remove()
+    capsys.readouterr()
+    assert code == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.main", "cli.cmd_bounds"} <= names
+    assert "cli.build_parser" not in names
+    assert ((tmp_path / "traced" / "bounds.csv").read_bytes()
+            == (tmp_path / "plain" / "bounds.csv").read_bytes())

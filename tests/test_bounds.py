@@ -356,6 +356,25 @@ class TestGaussianChernoff:
             assert abs(math.exp(ln_q(s)) - pair.q_s(s)) <= 3.0 * TAIL
 
 
+class TestGaussianChernoffRange:
+    """Where (a' + b)^2 of the closed form overflows, gaussian_chernoff
+    refuses the scenario instead of raising OverflowError or returning nan."""
+
+    @pytest.mark.parametrize("n_s, kappa, n_b", [
+        (1.0, 1.0, 1e308),
+        (1e300, 1.0, 1e300),
+        (1.0, 1.0, 1e154),
+    ])
+    def test_overflow_is_a_domain_error(self, n_s, kappa, n_b):
+        with pytest.raises(DomainError, match="^float overflow") as exc:
+            gaussian_chernoff(ScenarioParams(n_s, kappa, n_b))
+        assert f"n_s={n_s!r}, kappa={kappa!r}, n_b={n_b!r}" in str(exc.value)
+
+    def test_finite_below_the_overflow(self):
+        assert gaussian_chernoff(ScenarioParams(1.0, 1.0, 1e150)) == (
+            0.5, -3.431457505076164e-151, -3.431457505076164e-151)
+
+
 class TestCoherentClosedForm:
     """The CLI's coherent-state exponent kappa n_s / (sqrt(n_b+1) + sqrt(n_b))**2,
     the exact Chernoff exponent of thermal vs displaced thermal (s* = 1/2)."""

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: artifacts, determinism and exit codes."""
 
+import argparse
 import hashlib
 import math
 import re
@@ -624,6 +625,28 @@ class TestNoTraceback:
                 capsys.readouterr()
 
 
+class TestHugeScenarios:
+    """Scenarios past the float range of a closed form end in exit 1 and a
+    qillum: line, not in a traceback."""
+
+    @pytest.mark.parametrize("command", ["bounds", "helstrom"])
+    def test_background_too_large_for_a_cutoff(self, tmp_path, capsys, command):
+        """At n_b = 1e16, n_b/(n_b+1) rounds to 1 and no Fock cutoff reaches
+        the tail tolerance."""
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("n_s = 0.01\nkappa = 0.01\nn_b = 1e16\n", encoding="ascii")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path),
+                     "--k-points", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qillum: ") and "Traceback" not in err and "1e+16" in err
+
+    def test_gaussian_overlap_overflow_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("n_s = 1\nkappa = 1\nn_b = 1e308\n", encoding="ascii")
+        assert main(["exponents", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("qillum: float overflow")
+
+
 class TestErrorCurve:
     """The guard that bounds and helstrom run on their rows before writing."""
 
@@ -668,6 +691,118 @@ class TestParserSurface:
             build_parser().parse_args(["sweep", "--axis", "temperature", "--grid", "1"])
         assert exc.value.code == 2
         assert "--axis" in capsys.readouterr().err
+
+
+class TestParserCache:
+    """main builds its parser once per process and looks up cmd_<name> on
+    every call."""
+
+    def test_no_parser_built_after_the_first_call(self, capsys, monkeypatch):
+        assert main(["exponents"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(5):
+            assert main(["exponents"]) == 0
+        capsys.readouterr()
+        assert built == []
+
+    def test_runner_is_looked_up_on_every_call(self, capsys, monkeypatch):
+        assert main(["exponents"]) == 0
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(qillum.cli, "cmd_exponents",
+                            lambda args, *rest: calls.append(args.command))
+        assert main(["exponents"]) == 0
+        assert calls == ["exponents"]
+        assert capsys.readouterr().out == ""
+
+    STEPS = {  # name -> (argv before the shared flags, argv after them)
+        "bounds": (["bounds"], ["--k-min", "10", "--k-max", "1000", "--k-points", "3"]),
+        "helstrom": (["helstrom"], ["--k-min", "10", "--k-max", "1000", "--k-points", "3"]),
+        "exponents": (["exponents"], []),
+        "sweep": (["sweep"], ["--axis", "n_b", "--grid", "1,10"]),
+        "bad_axis": (["sweep"], ["--axis", "temperature", "--grid", "1"]),
+        "bad_count_model": (["bounds"], ["--count-model", "analog"]),
+        "help": (["bounds"], ["--help"]),
+    }
+
+    def run_steps(self, names, workdir, config, capsys, monkeypatch):
+        """(exit code, stdout, stderr, {file: bytes}) per step, each step
+        writing to its own directory under workdir."""
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        results = {}
+        for name in names:
+            head, tail = self.STEPS[name]
+            try:
+                code = main(head + ["--config", str(config), "--out", name] + tail)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            files = {path.name: path.read_bytes() for path in sorted((workdir / name).glob("*"))}
+            results[name] = (code, out, err, files)
+        return results
+
+    def test_call_order_does_not_matter(self, tmp_path, fast_config, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        names = list(self.STEPS)
+        forward = self.run_steps(names, tmp_path / "forward", fast_config, capsys, monkeypatch)
+        backward = self.run_steps(names[::-1], tmp_path / "backward", fast_config, capsys,
+                                  monkeypatch)
+        assert forward == backward
+        assert [forward[name][0] for name in names] == [0, 0, 0, 0, 2, 2, 0]
+        assert [sorted(forward[name][3]) for name in ("bounds", "helstrom", "exponents", "sweep")] \
+            == [["bounds.csv", "meta.txt"], ["helstrom.csv", "meta.txt"],
+                ["exponents.csv", "meta.txt"], ["meta.txt", "sweep.csv"]]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the pinned texts are Python 3.11's argparse layout")
+class TestHelpText:
+    """SHA-256 of qillum --help and of each subcommand's --help.  argparse
+    reads COLUMNS whenever it formats help, also from the parser that main
+    reuses, so the width follows the environment of each call."""
+
+    COMMANDS = ["", "bounds", "helstrom", "exponents", "sweep"]
+    GOLDEN = {
+        80: {
+            "": "78c41fe21b9bef69293bc50a7738fc77d980b4d48a65cc99502a19743026c22c",
+            "bounds": "f10249fe9c3715400dbbcf3f03eab7902f5e7d57706920c19a866fbca25c6b92",
+            "helstrom": "f9572bbb5f9e9c48dfac18c403d4455e05e7fbaef462872328b7c2b1dea6405f",
+            "exponents": "0c547eb66eeccd2344e4edb0055fd53fc7c2cf2cd58197210b7c77261bc676c6",
+            "sweep": "d1699ce29647bb34bdc8a3525bd860061ff43d78ac34b8e8e1d34dc00357c36c",
+        },
+        200: {
+            "": "14d88211b3d7065a074af5919cf75bb23949469fdc66a903b61c4b2bd2aee904",
+            "bounds": "11618e72dc877634df4fe0ee810c44479e4278486732f6fb929f40ec16d3938f",
+            "helstrom": "e03f5088fdef3a88e613af0b9719c5f9eceb5483722d0aa162a6914fc79ce485",
+            "exponents": "fc2a8f56d49827bdee8d976ee5e6eef9efded242e0324214c6bfe15b771ed260",
+            "sweep": "4bd2e391d515a97bbce9097795abe67ae66f6cda50e1eb5005b30253c0051ff1",
+        },
+    }
+
+    def help_sha(self, capsys, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        got = {}
+        for command in self.COMMANDS:
+            with pytest.raises(SystemExit) as exc:
+                main(command.split() + ["--help"])
+            assert exc.value.code == 0
+            got[command] = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+        return got
+
+    def test_sha256(self, tmp_path, capsys, monkeypatch):
+        assert self.help_sha(capsys, monkeypatch, 80) == self.GOLDEN[80]
+        assert main(["exponents", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert self.help_sha(capsys, monkeypatch, 200) == self.GOLDEN[200]
+        assert self.help_sha(capsys, monkeypatch, 80) == self.GOLDEN[80]
 
 
 def columns_sha(path, keep):

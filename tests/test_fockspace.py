@@ -59,6 +59,12 @@ class TestThermalCutoff:
             thermal_cutoff(1.0, 0.0)
 
 
+def test_thermal_cutoff_mean_too_large():
+    """At mean 1e16, mean/(mean+1) rounds to 1: no cutoff reaches the tolerance."""
+    with pytest.raises(DomainError, match=r"1e\+16.*tail_tol=1e-09"):
+        thermal_cutoff(1e16, 1e-9)
+
+
 class TestTruncationSpec:
     def test_for_params_reference(self, ref_trunc):
         assert (ref_trunc.n_r_max, ref_trunc.n_i_max) == (424, 4)
