@@ -4,8 +4,13 @@ The return-idler pair is Gaussian under both hypotheses, so its overlap
 Q_s = Tr(rho0^s rho1^(1-s)) has a closed form (Pirandola & Lloyd, PRA 78,
 012331 (2008)), which ``gaussian_chernoff`` evaluates.  rho1 is a two-mode
 squeeze, sinh^2 r = w/R, of thermal modes of means N+ = n_b + kappa n_s - w/2
-and N- = n_s - w/2, where R^2 = (a' + b)^2 - 16 kappa n_s (n_s + 1),
-a' + b = 2 (kappa n_s + n_b + n_s + 1) and w = (a' + b - R)/2.  With
+and N- = n_s - w/2, where a' + b = 2 (kappa n_s + n_b + n_s + 1),
+w = (a' + b - R)/2 and R^2 = (a' + b)^2 - 16 kappa n_s (n_s + 1) is taken as
+
+    R^2 = D^2 + 16 n_b (n_s + 1),   D = 2 (n_s + 1 - kappa n_s - n_b),
+
+a sum of two terms >= 0, so R keeps its digits where the first form
+cancels (kappa = 1, n_s >> n_b) and never vanishes.  With
 E_s(N, M) = (N+1)^s (M+1)^(1-s) - N^s M^(1-s), the inverse overlap of two
 geometric laws, and H_p(X, Y) = ((X+1)(Y+1))^p - (XY)^p,
 
@@ -125,13 +130,14 @@ def _gaussian_ln_q(params):
     if not math.isfinite(a_plus_b * a_plus_b):  # no product below is larger
         raise DomainError(f"float overflow in the Gaussian overlap at n_s={n_s!r}, "
                           f"kappa={kappa!r}, n_b={n_b!r}")
-    root = math.sqrt(a_plus_b * a_plus_b - 16.0 * kns * (n_s + 1.0))
+    d_ret, r2_minus_d_ret2 = 2.0 * (n_s + 1.0 - kns - n_b), 16.0 * n_b * (n_s + 1.0)
+    root = math.sqrt(d_ret * d_ret + r2_minus_d_ret2)  # two terms >= 0: nothing cancels
     half_w = 4.0 * kns * (n_s + 1.0) / (root + a_plus_b)
 
     def shrunk(x, d, r2_minus_d2):  # x - half_w as x (R - D) / (R + a' + b), exact near vacuum
         return x * (r2_minus_d2 / (root + d) if d > 0.0 else root - d) / (root + a_plus_b)
 
-    gap = shrunk(kns, 2.0 * (n_s + 1.0 - kns - n_b), 16.0 * n_b * (n_s + 1.0))  # N+ - n_b
+    gap = shrunk(kns, d_ret, r2_minus_d_ret2)  # N+ - n_b
     n_minus = shrunk(n_s, 2.0 * (kns + 2.0 * kappa - n_b - n_s - 1.0),
                      16.0 * kappa * (n_s + 1.0) * (n_b + (1.0 - kappa)))
     e_ret, e_idl = _geometric_gap(n_b, n_b + gap, gap), _geometric_gap(n_s, n_minus, -half_w)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["QIError", "DomainError", "ParseError", "TruncationError"]
+
 
 class QIError(Exception):
     """Base class for every error raised by this package."""

@@ -150,9 +150,10 @@ def _lr_threshold(n0: float, n1: float, K: int, clicks: bool) -> int:
 
     So when the float ratio lies farther than _LR_MARGIN * max(1, ratio),
     about 600 times that bound, from every integer, its ceiling is the
-    exact one; the headroom covers a log1p a few ulps worse than assumed.  Every other case takes _lr_threshold_exact: a near tie, a
-    ratio above 5e11 (where the margin reaches 1/2), a subnormal log1p
-    argument, an overflow, N0 <= 0 or N1 <= N0.
+    exact one; the headroom covers a log1p a few ulps worse than assumed.
+    Every other case takes _lr_threshold_exact: a near tie, a ratio above
+    5e11 (where the margin reaches 1/2), a subnormal log1p argument, an
+    overflow, N0 <= 0 or N1 <= N0.
     """
     if n0 > 0.0 and n1 > n0:
         delta = n1 - n0
@@ -381,8 +382,7 @@ def helstrom_single_shot(rho0: JointState, rho1: JointState) -> HelstromResult:
     if tr0 < 1.0 - 1e-6 or tr1 < 1.0 - 1e-6:
         raise DomainError(f"state traces too small ({tr0:.8f}, {tr1:.8f})")
 
-    b0, b1 = rho0.stack, rho1.stack
-    w, v = np.linalg.eigh(b1 - b0)
+    w, v = np.linalg.eigh(rho1.stack - rho0.stack)
 
     # Absolute floor: for identical states every eigenvalue is cancellation
     # noise (~1e-15) and a purely relative cut would classify that noise as
@@ -391,11 +391,10 @@ def helstrom_single_shot(rho0: JointState, rho1: JointState) -> HelstromResult:
     ztol = max(1e-12 * float(np.abs(w).max()), 1e-14)
     # projector weight per eigenvector: 1 positive, 1/2 zero, 0 negative
     weight = np.where(w > ztol, 1.0, np.where(np.abs(w) <= ztol, 0.5, 0.0))
-    return HelstromResult(
-        pe_single=0.5 * (1.0 - math.fsum((weight * w).ravel())),
-        p01=math.fsum((weight * np.einsum("bji,bjk,bki->bi", v, b0, v)).ravel()),
-        p10=1.0 - math.fsum((weight * np.einsum("bji,bjk,bki->bi", v, b1, v)).ravel()),
-    )
+    margin = math.fsum((weight * w).ravel())
+    p01 = math.fsum((weight * np.einsum("bji,bjk,bki->bi", v, rho0.stack, v)).ravel())
+    # v^T rho1 v = v^T rho0 v + diag(w), so 1 - p10 = p01 + margin
+    return HelstromResult(pe_single=0.5 * (1.0 - margin), p01=p01, p10=1.0 - p01 - margin)
 
 
 def majority_vote_error(p01: float, p10: float, K: int, method: str = "exact_binomial"):

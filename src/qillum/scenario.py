@@ -17,6 +17,16 @@ from typing import Union
 
 from .errors import DomainError, ParseError
 
+__all__ = [
+    "ScenarioParams",
+    "ReceiverConfig",
+    "ThresholdPolicy",
+    "CountModel",
+    "parse_config",
+    "parse_value",
+    "render_config",
+]
+
 # The weak-signal, lossy, bright-background corner where the closed-form
 # exponent approximations hold.
 REGIME_NS_MAX = 0.1

@@ -308,6 +308,18 @@ class TestGaussianChernoff:
             want = gaussian_ln_q_s(n_s, kappa, n_b, s)
             assert abs(ln_q(s) - want) <= 1e-12 * abs(want), s
 
+    @pytest.mark.parametrize("n_s, kappa, n_b", [
+        (1e8, 1.0, 1e-10), (1e8, 1.0, 1.0), (1e6, 1.0, 1e-3),
+    ])
+    def test_lossless_bright_signal(self, n_s, kappa, n_b):
+        """At kappa = 1 and n_s >> n_b, (a' + b)^2 - 16 kappa n_s (n_s + 1)
+        is a small difference of large terms; R^2 = D^2 + 16 n_b (n_s + 1)
+        is a sum of two terms >= 0 and keeps its digits."""
+        ln_q = _gaussian_ln_q(ScenarioParams(n_s, kappa, n_b))
+        for s in self.GRID_S:
+            want = gaussian_ln_q_s(n_s, kappa, n_b, s)
+            assert abs(ln_q(s) - want) <= 1e-12 * abs(want), s
+
     def test_endpoints_are_exactly_one(self):
         for n_b, n_s, kappa in itertools.product((0.0, 0.01, 20.0, 1e6), self.GRID_NS,
                                                  self.GRID_KAPPA):

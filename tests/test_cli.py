@@ -646,6 +646,15 @@ class TestHugeScenarios:
         assert main(["exponents", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("qillum: float overflow")
 
+    @pytest.mark.parametrize("command", ["exponents", "bounds"])
+    def test_lossless_bright_signal_runs(self, tmp_path, capsys, command):
+        """(1e8, 1, 1e-10) lies inside the float range: the Gaussian overlap's
+        R is a sum of two terms >= 0, not a difference that cancels to 0."""
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("n_s = 1e8\nkappa = 1\nn_b = 1e-10\n", encoding="ascii")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestErrorCurve:
     """The guard that bounds and helstrom run on their rows before writing."""
@@ -836,9 +845,9 @@ class TestGoldenBytes:
     }
     GOLDEN = {
         ("bright_scan", "bounds"):
-            "71a59b0246a3ce74f985a02a84cfd1a97b5c48330d023fbc05911983a3ffb37a",
+            "55ac763d2d9f39927084b1efd695adf9162bbd8dd08c66c52c2b645d73e93f5c",
         ("bright_scan", "exponents"):
-            "eb426fad6ffbf953be0bdb22c518eb5340c5c886869471256998ada060e5068a",
+            "273f9230717930a933c2cc07e60af826de66ca845889b89850a7b047876d7f67",
         ("bright_scan", "helstrom"):
             "e528422655b6b139cf3c9c380b9f5cc5df6606292e9a2d16dc039dbe09c33a48",
         ("bright_scan", "sweep_gain"):
@@ -846,9 +855,9 @@ class TestGoldenBytes:
         ("bright_scan", "sweep_n_b"):
             "b7d74c9a09cd1205a4640409b44340e8b22160c62abe758eedd47d1a7b47c635",
         ("click_bhatt", "bounds"):
-            "af1342c9edaa3ce8fce7993f59b545566e6c8ec6f0bd6505350011111d951546",
+            "3cb640e08ae2b48ca96767c2c777d6745fb90569e5ad6f4776dfd4578aaf4995",
         ("click_bhatt", "exponents"):
-            "af87063f4544e4cf7513d01ac8132663fa4438648f1c3edbf28f6ed3c1357d6a",
+            "bf873da1818965b0795d85edb6a1a8083cd2dbeafa5fb91ce767b4dbbecb7c30",
         ("click_bhatt", "helstrom"):
             "f5e9bfb7dfc1db0299e3c44ef63e09bdcaca30be4cc0ae621ddf19a9ada6b6db",
         ("click_bhatt", "sweep_gain"):
@@ -856,9 +865,9 @@ class TestGoldenBytes:
         ("click_bhatt", "sweep_n_b"):
             "9b50afdfe99bd6a3d8eb9d6509fb8f8c3310b984bf65b0c7a888ab520d27f887",
         ("default", "bounds"):
-            "f959914478d19692987b7ef3a0f1dc93f86e086fc4826d428dfc9e007f78978a",
+            "0443795c467b5bbc5c578179a5ba379e47d71527c61e5a4f3a22ecb1d52babe3",
         ("default", "exponents"):
-            "155a20a9ac71b2a6fd6e1fe1e773bd32b4772197fcb50bfadf74f120eaf3a08b",
+            "81f89679b85426a78465c10e16aa5ce66dc62e54f719386671767595516bae9d",
         ("default", "helstrom"):
             "cb634986e7aa0db98c6d4ce6f13279d1d3fb34e5217746863cadab37091976bc",
         ("default", "sweep_gain"):
@@ -874,7 +883,7 @@ class TestGoldenBytes:
         ("bright_scan", "bounds"):
             "80dd6494ed0b277823dcf8c4d83100d572132181aef1826015d60a0a16149ffd",
         ("bright_scan", "exponents"):
-            "67e794e8f723b6651833998dd26e81cac71e87f834a7ce8754a467d3d8ac443a",
+            "a547fea4a4cd07a31437849bd35ff43133e5f3008b6581d53dee660f6f209cc4",
         ("bright_scan", "helstrom"):
             "dc58a39c10f06a7d356d420afccd833f9fe9b478ab1c58d6e73768fffd35f415",
         ("bright_scan", "sweep_gain"):
@@ -884,7 +893,7 @@ class TestGoldenBytes:
         ("click_bhatt", "bounds"):
             "c5d57aaab5e98e4a65f53eb6bd2a7e0d426748519c0bfc107605575b398165c8",
         ("click_bhatt", "exponents"):
-            "6977624362d05ff1ef9cf32538beb8c0b4c4adeba4173546034f1fc1e5350a8c",
+            "dbf567575effbbe0530003d9321de588f12801cbbb3b27e9e2d393686a10a4be",
         ("click_bhatt", "helstrom"):
             "a6e70e9774d8515958bdf13d6a36f255335ae9033dda4af2032fe180b3314904",
         ("click_bhatt", "sweep_gain"):
@@ -894,7 +903,7 @@ class TestGoldenBytes:
         ("default", "bounds"):
             "c2e2f4b4f1d12f7873042612ce1c95248604cf8d0e1f8ba25ad29e2c93cfb446",
         ("default", "exponents"):
-            "0b2950a125600c94c2a42c2873632a6c0689b12e7644733bc0753041ed5d66ab",
+            "55c9398de9c87ac2043e0060cf26f4e528570a69d0672faa447434a2f46ab6ca",
         ("default", "helstrom"):
             "6f0cecc7b49a7ee4dbcd00e8b160f540c5999666fde2e7a8c33d43f136392105",
         ("default", "sweep_gain"):
