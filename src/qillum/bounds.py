@@ -33,12 +33,15 @@ For K independent mode pairs the minimum error probability is sandwiched by
 
 ``error_prob_bounds`` takes ln Q_half and ln Q_chernoff, as ``gaussian_chernoff``
 returns them, and gives the log10 of each bound, so no overlap passes
-through exp and back and K up to 1e8 is safe.
+through exp and back and K up to 1e8 is safe.  K may be an int or an
+integer array, as in every per-K function of the package; an array gives
+one value per element.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -239,6 +242,37 @@ def qcb(rho0, rho1) -> Tuple[float, float, float]:
 
 # --- K-copy sandwich ---------------------------------------------------------
 
+def _copies(K) -> np.ndarray:
+    """K, an int or an integer array, as a 1-d array of Python ints, so that
+    integer arithmetic on copy counts stays exact at any size; DomainError
+    unless every K >= 1."""
+    ks = np.array(K.tolist() if isinstance(K, (np.ndarray, np.generic)) else K,
+                  dtype=object, ndmin=1)
+    if not (ks >= 1).all():
+        raise DomainError(f"K must be >= 1, got {K}")
+    return ks
+
+
+def _like(K, column):
+    """column in the shape of K: the array itself, or its one element as a
+    Python scalar."""
+    return column.tolist()[0] if np.isscalar(K) else column
+
+
+def _all(holds) -> bool:
+    """A condition on floats or on arrays of them: does it hold everywhere?"""
+    return holds if type(holds) is bool else bool(holds.all())
+
+
+def _each(fn, x, *args):
+    """fn(x, *args), fn a math function or pow, on a float, or element by
+    element on a float array: numpy's own exp, log and power can differ from
+    libm's in the last bit."""
+    if not isinstance(x, np.ndarray):
+        return fn(x, *args)
+    return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, args)), float, x.size)
+
+
 @dataclass(frozen=True)
 class BoundTriple:
     """log10 of the lower and the two upper bounds on the K-copy minimum
@@ -250,8 +284,8 @@ class BoundTriple:
     log10_upper_bhatt: float
 
     def __post_init__(self):
-        def at_most(a: float, b: float) -> bool:
-            return a <= b + 1e-12 * (1.0 + abs(b))
+        def at_most(a, b) -> bool:
+            return _all(a <= b + 1e-12 * (1.0 + abs(b)))
 
         if not (
             at_most(self.log10_lower, self.log10_upper_qcb)
@@ -265,27 +299,29 @@ class BoundTriple:
             )
 
 
-def error_prob_bounds(ln_q_half: float, ln_q_min: float, K: int) -> BoundTriple:
+def error_prob_bounds(ln_q_half: float, ln_q_min: float, K) -> BoundTriple:
     """Sandwich the K-copy optimal error probability between the overlap
     bounds, from the log overlaps ln Q_half and ln Q_min.
 
     Requires -inf < ln_q_min <= ln_q_half <= 0.  For overlaps of genuine
     state pairs log-convexity also gives 2 ln_q_half <= ln_q_min, which is
-    what makes the lower bound sit below the Chernoff upper bound.
+    what makes the lower bound sit below the Chernoff upper bound.  For an
+    array of K each leg is an array over K.
     """
     if not (-math.inf < ln_q_min <= ln_q_half <= 0.0):
         raise DomainError(f"need -inf < ln_q_min <= ln_q_half <= 0, "
                           f"got ln_q_min={ln_q_min}, ln_q_half={ln_q_half}")
-    if K < 1:
-        raise DomainError(f"K must be >= 1, got {K}")
+    k = _copies(K).astype(float)
 
     # lower = (1 - sqrt(1 - Q^2K))/2 rewritten as Q^2K / (2 (1 + sqrt(1 - Q^2K)))
-    t = 2.0 * K * ln_q_half
-    return BoundTriple(
-        log10_lower=t / _LN10 - math.log10(2.0 * (1.0 + math.sqrt(-math.expm1(t)))),
-        log10_upper_qcb=K * ln_q_min / _LN10 + _LOG10_HALF,
-        log10_upper_bhatt=K * ln_q_half / _LN10 + _LOG10_HALF,
-    )
+    with np.errstate(over="ignore"):
+        t = 2.0 * k * ln_q_half
+        return BoundTriple(
+            log10_lower=_like(K, t / _LN10 - _each(
+                math.log10, 2.0 * (1.0 + np.sqrt(-_each(math.expm1, t))))),
+            log10_upper_qcb=_like(K, k * ln_q_min / _LN10 + _LOG10_HALF),
+            log10_upper_bhatt=_like(K, k * ln_q_half / _LN10 + _LOG10_HALF),
+        )
 
 
 # --- closed-form exponents ---------------------------------------------------
@@ -309,13 +345,17 @@ class ExponentReport:
     def __post_init__(self):
         for name in ("r_q", "r_c", "r_c_hom"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
+            if not _all((v >= 0.0) & (v < math.inf)):
                 raise DomainError(f"{name} must be finite and >= 0, got {v}")
 
 
 def asymptotic_exponents(params) -> ExponentReport:
-    """Closed-form error exponents for a scenario (requires n_b > 0)."""
-    if params.n_b <= 0.0:
+    """Closed-form error exponents for a scenario (requires n_b > 0).
+
+    params may also hold arrays n_s, kappa and n_b, one element per
+    scenario; every exponent is then an array.
+    """
+    if not _all(params.n_b > 0.0):
         raise DomainError("asymptotic exponents need n_b > 0")
     kns = params.kappa * params.n_s
     return ExponentReport(

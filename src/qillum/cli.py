@@ -26,6 +26,7 @@ import hashlib
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,6 +53,7 @@ from .scenario import (
     ReceiverConfig,
     ScenarioParams,
     ThresholdPolicy,
+    _in_regime,
     parse_config,
     parse_value,
     render_config,
@@ -68,6 +70,8 @@ _UNDEF = "-"  # stdout placeholder for quantities with no defined value
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if value is None:
         return "nan"
     if isinstance(value, str):
@@ -95,7 +99,7 @@ def _write_outputs(args, params: ScenarioParams, receiver: ReceiverConfig,
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{args.command}.csv"
     lines = [f"# params={digest}", ",".join(columns)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     meta = [f"tool=qillum {__version__}", f"command={args.command}", f"params_digest={digest}"]
     meta.extend(render_config(params, receiver).splitlines())
@@ -115,7 +119,7 @@ def _k_grid(k_min: float, k_max: float, k_points: int) -> List[int]:
     if k_points == 1:
         return [int(round(k_min))]
     raw = np.logspace(math.log10(k_min), math.log10(k_max), k_points)
-    return sorted({max(1, int(round(v))) for v in raw})
+    return sorted({max(1, int(k)) for k in np.rint(raw).tolist()})
 
 
 def _check_error_curves(columns: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -130,8 +134,8 @@ def _check_error_curves(columns: Sequence[str], rows: Sequence[Sequence]) -> Non
                 raise DomainError(f"{name}: log10 P_e = {v} above log10(1/2) at K={row[0]}")
 
 
-def _log10_or_inf(p: float) -> float:
-    return math.log10(p) if p > 0.0 else float("-inf")
+def _log10_or_inf(ps: np.ndarray) -> List[float]:
+    return [math.log10(p) if p > 0.0 else -math.inf for p in ps.tolist()]
 
 
 # --- configuration ------------------------------------------------------------
@@ -172,7 +176,8 @@ def _sweep_points(params: ScenarioParams, axis: str,
             if not (math.isfinite(v) and v > 1.0):
                 raise DomainError(f"gain grid value {v} must satisfy G > 1")
         return [(v, params) for v in values]
-    return [(v, dataclasses.replace(params, **{axis: v})) for v in values]
+    fields = dataclasses.asdict(params)
+    return [(v, ScenarioParams(**{**fields, axis: v})) for v in values]
 
 
 # --- coherent-state benchmark -------------------------------------------------
@@ -199,8 +204,8 @@ def _k_table(args, params: ScenarioParams, receiver: ReceiverConfig, ks: List[in
     """Write one row of log10 error probabilities per K.
 
     pair_columns(trunc, gain) returns a note for meta.txt and
-    cells(k, log10_opa_exact), the row after K with the exact OPA error in
-    its slot.
+    cells(ks, log10_opa_exact), the columns after K, each one call over the
+    whole grid, with the exact OPA errors in their slot.
     """
     notes = [f"count_model: {receiver.count_model.value}"]
     if params.kappa == 0.0:
@@ -214,11 +219,10 @@ def _k_table(args, params: ScenarioParams, receiver: ReceiverConfig, ks: List[in
         gain, gain_note = resolve_gain(params, receiver.gain)
         note, cells = pair_columns(trunc, gain)
         notes += [f"gain: {gain_note}", note]
-        rows = []
-        for k in ks:
-            pe_opa, _ = opa_error_exact(params, gain, k, receiver.threshold_policy,
-                                        receiver.count_model)
-            rows.append([k] + cells(k, _log10_or_inf(pe_opa)))
+        pe_opa, _ = opa_error_exact(params, gain, ks, receiver.threshold_policy,
+                                    receiver.count_model)
+        rows = list(zip(ks, *(np.asarray(col).tolist()
+                              for col in cells(ks, _log10_or_inf(pe_opa)))))
         _check_error_curves(columns, rows)
     _write_outputs(args, params, receiver, columns, rows, notes,
                    k_grid=",".join(str(k) for k in ks))
@@ -230,12 +234,12 @@ def cmd_bounds(args, params: ScenarioParams, receiver: ReceiverConfig, ks: List[
         ln_q_c = -_coherent_exponent(params)  # Q_half = Q_min at s* = 1/2
         r_opa = _r_opa(params, gain)
 
-        def cells(k, log10_opa):
-            b_c = error_prob_bounds(ln_q_c, ln_q_c, k)
-            b_q = error_prob_bounds(ln_q_half, ln_q_min, k)
-            _, log10_hom = homodyne_error(params, k)
+        def cells(ks, log10_opa):
+            b_c = error_prob_bounds(ln_q_c, ln_q_c, ks)
+            b_q = error_prob_bounds(ln_q_half, ln_q_min, ks)
+            _, log10_hom = homodyne_error(params, ks)
             # the log leg stays finite where the probability underflows
-            _, log10_gauss = half_erfc_sqrt(r_opa * k)
+            _, log10_gauss = half_erfc_sqrt(r_opa * np.array(ks, dtype=float))
             return [b_c.log10_lower, b_c.log10_upper_qcb, b_q.log10_lower,
                     b_q.log10_upper_qcb, log10_hom, log10_opa, log10_gauss]
         return f"trunc: n_r_max={trunc.n_r_max} n_i_max={trunc.n_i_max}", cells
@@ -253,9 +257,9 @@ def cmd_helstrom(args, params: ScenarioParams, receiver: ReceiverConfig, ks: Lis
         # as a symmetric per-pair flip probability.
         p_flip = result.pe_single
 
-        def cells(k, log10_opa):
-            pe_maj = majority_vote_error(p_flip, p_flip, k, method="exact_binomial")
-            pe_clt = majority_vote_error(p_flip, p_flip, k, method="clt")
+        def cells(ks, log10_opa):
+            pe_maj = majority_vote_error(p_flip, p_flip, ks, method="exact_binomial")
+            pe_clt = majority_vote_error(p_flip, p_flip, ks, method="clt")
             return [log10_opa, _log10_or_inf(pe_maj), _log10_or_inf(pe_clt)]
         return (f"helstrom single shot: pe={result.pe_single!r} "
                 f"p01={result.p01!r} p10={result.p10!r}"), cells
@@ -265,21 +269,24 @@ def cmd_helstrom(args, params: ScenarioParams, receiver: ReceiverConfig, ks: Lis
              pair_columns)
 
 
-def _opa_exponents(params: ScenarioParams,
-                   gain: Optional[float]) -> Tuple[float, float, float, Optional[float]]:
-    """(r_opa, r_b_exact, r_b_small_gain, r_b_ratio) of the OPA at gain G.
+def _opa_exponents(params: ScenarioParams, gain: Optional[float]) -> Tuple[float, ...]:
+    """(r_opa, r_b_exact, r_b_small_gain, r_b_ratio) of the OPA at gain G,
+    for one scenario or for arrays of them.
 
     G is None only for the flat kappa = 0 search, where every exponent is
     zero.  r_b_ratio is r_b_exact over its weak-signal limit
-    kappa n_s / (2 n_b), and None where that limit is zero.  Callers have
+    kappa n_s / (2 n_b), and nan where that limit is zero.  Callers have
     run asymptotic_exponents on params, which rejects n_b <= 0.
     """
     if gain is None:
-        return 0.0, 0.0, 0.0, None
+        return 0.0, 0.0, 0.0, math.nan
     r_opa = _r_opa(params, gain)
     _, r_b_exact, r_b_small = opa_bhattacharyya(params, gain)
     half_limit = params.kappa * params.n_s / (2.0 * params.n_b)
-    r_b_ratio = r_b_exact / half_limit if half_limit > 0.0 else None
+    if not isinstance(half_limit, np.ndarray):  # exponents stays free of numpy calls
+        return r_opa, r_b_exact, r_b_small, r_b_exact / half_limit if half_limit > 0.0 else math.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_b_ratio = np.where(half_limit > 0.0, np.divide(r_b_exact, half_limit), math.nan)
     return r_opa, r_b_exact, r_b_small, r_b_ratio
 
 
@@ -317,7 +324,7 @@ def cmd_exponents(args, params: ScenarioParams, receiver: ReceiverConfig, _grid)
         rows.append(("r_opa", r_opa, f"at G={gain!r}"))
         rows.append(("r_b_exact", r_b_exact, "-ln Q_B"))
         rows.append(("r_b_small_gain", r_b_small, "series form"))
-    if r_b_ratio is not None:
+    if not math.isnan(r_b_ratio):
         rows.append(("r_b_ratio", r_b_ratio, "r_b_exact/(kappa*n_s/2n_b)"))
 
     rows.append(("db_opa_vs_r_c", _db_gain(r_opa, report.r_c), "10 log10(r_opa/r_c)"))
@@ -338,14 +345,26 @@ def cmd_sweep(args, params: ScenarioParams, receiver: ReceiverConfig,
               points: List[Tuple[float, ScenarioParams]]) -> None:
     columns = [args.axis, "r_q", "r_c", "r_c_hom", "regime_ok",
                "gain", "r_opa", "r_b_exact", "r_b_small_gain", "r_b_ratio"]
-    rows = []
-    for value, point in points:
-        report = asymptotic_exponents(point)
-        gain = value if args.axis == "gain" else resolve_gain(point, receiver.gain)[0]
-        rows.append([value, report.r_q, report.r_c, report.r_c_hom, int(point.regime_ok),
-                     gain, *_opa_exponents(point, gain)])
+    scenarios = SimpleNamespace(**{name: np.array([getattr(p, name) for _, p in points])
+                                   for name in ("n_s", "kappa", "n_b")})
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = list(zip(*(np.asarray(col).tolist() for col in _sweep_row(
+                args.axis, receiver.gain, np.array([v for v, _ in points]), scenarios))))
+    except (QIError, OverflowError):
+        # one point at a time: its row, or the refusal of the first point that fails
+        rows = [_sweep_row(args.axis, receiver.gain, v, point) for v, point in points]
     _write_outputs(args, params, receiver, columns, rows, [],
                    axis=args.axis, grid=",".join(repr(v) for v, _ in points))
+
+
+def _sweep_row(axis: str, gain_spec, value, point) -> list:
+    """One sweep row, or with arrays in value and point's fields, its columns."""
+    report = asymptotic_exponents(point)
+    gain = value if axis == "gain" else resolve_gain(point, gain_spec)[0]
+    regime_ok = 1 * _in_regime(point.n_s, point.kappa, point.n_b)  # 0 or 1
+    return [value, report.r_q, report.r_c, report.r_c_hom, regime_ok, gain,
+            *_opa_exponents(point, gain)]
 
 
 # --- argument parsing -----------------------------------------------------------

@@ -21,7 +21,9 @@ majority vote over single-pair Helstrom decisions, have regularized
 incomplete-beta tails, so one threshold test (_threshold_error) serves all
 three and keeps far tails accurate in a relative sense; Gaussian
 approximations and log-domain variants are provided for cross-checks and
-large K.
+large K.  Every per-K function also takes an integer array of K, and the
+gain search and the exponents at a gain a scenario of arrays (one gain per
+element): each element gets the float it would get alone.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.special import betainc, log_ndtr, ndtr
 
+from .bounds import _all, _copies, _each, _like
 from .errors import DomainError
 from .fockspace import JointState
 from .gss import golden_section_min
@@ -64,49 +67,53 @@ _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min  # smallest normal float
 
 
-def half_erfc_sqrt(y: float) -> Tuple[float, float]:
+def half_erfc_sqrt(y) -> Tuple[float, float]:
     """(p, log10 p) for p = erfc(sqrt(y)) / 2, stable for large y.
 
     erfc(x)/2 is the upper Gaussian tail at x*sqrt(2), so the log route
     goes through the log normal CDF and never underflows.
     """
-    if y < 0.0:
+    arg = np.asarray(y, dtype=float)
+    if (arg < 0.0).any():
         raise DomainError(f"need y >= 0, got {y}")
-    x = math.sqrt(y)
-    log10_p = float(log_ndtr(-x * math.sqrt(2.0))) / _LN10
-    return float(ndtr(-x * math.sqrt(2.0))), log10_p
+    x = -np.sqrt(arg) * math.sqrt(2.0)
+    p, log10_p = ndtr(x), log_ndtr(x) / _LN10
+    return (p, log10_p) if np.ndim(y) else (float(p), float(log10_p))
 
 
-def homodyne_error(params, K: int) -> Tuple[float, float]:
+def homodyne_error(params, K) -> Tuple[float, float]:
     """Error probability of coherent-state transmission with homodyne
     readout over K modes: erfc(sqrt(kappa n_s K / (4 n_b + 2))) / 2.
 
     Returns (probability, log10 probability).
     """
-    if K < 1:
-        raise DomainError(f"K must be >= 1, got {K}")
-    y = params.kappa * params.n_s * K / (4.0 * params.n_b + 2.0)
-    return half_erfc_sqrt(y)
+    k = _copies(K).astype(float)
+    with np.errstate(over="ignore"):
+        p, log10_p = half_erfc_sqrt(params.kappa * params.n_s * k / (4.0 * params.n_b + 2.0))
+    return _like(K, p), _like(K, log10_p)
 
 
 # --- OPA receiver ------------------------------------------------------------
 
-def _opa_means(params, G: float) -> Tuple[float, float, float]:
+def _opa_means(params, G):
     """(N0, N1, N1 - N0); N1 - N0 is the sum of its two non-negative terms,
     so it keeps its digits however close N1 is to N0."""
-    if not math.isfinite(G) or G <= 1.0:
+    one = type(G) is float  # the gain search's hot path: no numpy call
+    if not (1.0 < G < math.inf if one else _all((G > 1.0) & (G < math.inf))):
         raise DomainError(f"gain must satisfy G > 1, got {G}")
+    sqrt = math.sqrt if one else np.sqrt
     n_s, kappa, n_b = params.n_s, params.kappa, params.n_b
     n0 = G * n_s + (G - 1.0) * (1.0 + n_b)
     a = (G - 1.0) * kappa * n_s
-    b = 2.0 * math.sqrt(G * (G - 1.0)) * math.sqrt(kappa * n_s * (n_s + 1.0))
+    b = 2.0 * sqrt(G * (G - 1.0)) * sqrt(kappa * n_s * (n_s + 1.0))
     n1 = n0 + a + b
-    if not math.isfinite(n1 * (n1 + 1.0)):
+    spread = n1 * (n1 + 1.0)
+    if not (spread < math.inf if one else _all(spread < math.inf)):
         raise DomainError(f"OPA output statistics overflow at G={G!r}: n0={n0}, n1={n1}")
     return n0, n1, a + b
 
 
-def opa_output_means(params, G: float) -> Tuple[float, float]:
+def opa_output_means(params, G) -> Tuple[float, float]:
     """Thermal means (N0, N1) of the OPA output mode under H0 and H1.
 
     N1 is N0 plus two non-negative terms, so N1 >= N0.  The deviation of a
@@ -117,7 +124,7 @@ def opa_output_means(params, G: float) -> Tuple[float, float]:
     return n0, n1
 
 
-def _lr_threshold(n0: float, n1: float, K: int, clicks: bool) -> int:
+def _lr_threshold(n0: float, n1: float, K, clicks: bool):
     """First count at which target-present is at least as likely as absent.
 
     Over K modes the count likelihood ratio is r^n ((1+N0)/(1+N1))^K, with
@@ -153,19 +160,24 @@ def _lr_threshold(n0: float, n1: float, K: int, clicks: bool) -> int:
     exact one; the headroom covers a log1p a few ulps worse than assumed.
     Every other case takes _lr_threshold_exact: a near tie, a ratio above
     5e11 (where the margin reaches 1/2), a subnormal log1p argument, an
-    overflow, N0 <= 0 or N1 <= N0.
+    overflow, N0 <= 0 or N1 <= N0.  Over an array of K each element keeps
+    or fails its own certificate.
     """
+    ks = _copies(K)
+    ratio = np.full(ks.shape, math.nan)
     if n0 > 0.0 and n1 > n0:
         delta = n1 - n0
         a = delta / (1.0 + n0)
         b = delta / n0 if clicks else delta / (n0 * (1.0 + n1))
         if a >= _TINY and b >= _TINY:
-            ratio = K * math.log1p(a) / math.log1p(b)
-            if math.isfinite(ratio):
-                t = math.ceil(ratio)
-                if min(t - ratio, ratio - t + 1.0) > _LR_MARGIN * max(1.0, ratio):
-                    return t
-    return _lr_threshold_exact(n0, n1, K, clicks)
+            with np.errstate(over="ignore"):
+                ratio = ks.astype(float) * math.log1p(a) / math.log1p(b)
+    t = np.ceil(ratio)
+    with np.errstate(invalid="ignore"):  # inf - inf: not certified
+        sure = np.minimum(t - ratio, ratio - t + 1.0) > _LR_MARGIN * np.maximum(1.0, ratio)
+    return _like(K, np.array([int(tk) if ok else _lr_threshold_exact(n0, n1, k, clicks)
+                              for k, ok, tk in zip(ks.tolist(), sure.tolist(), t.tolist())],
+                             dtype=object))
 
 
 def _lr_threshold_exact(n0: float, n1: float, K: int, clicks: bool) -> int:
@@ -183,8 +195,9 @@ def _lr_threshold_exact(n0: float, n1: float, K: int, clicks: bool) -> int:
     return int(ratio.to_integral_value(rounding=ROUND_CEILING))
 
 
-def _threshold_error(t: int, K: int, x0: float, y1: float, clicks: bool) -> float:
-    """Equal-prior error (P0(X >= t) + P1(X < t)) / 2 of the test X >= t.
+def _threshold_error(t: np.ndarray, ks: np.ndarray, x0: float, y1: float, clicks: bool):
+    """Equal-prior error (P0(X >= t) + P1(X < t)) / 2 of the test X >= t,
+    per element of the arrays of thresholds t and copies K.
 
     Both count laws have incomplete-beta tails.  With x = N/(1+N) for a
     thermal mode of mean N, or the per-trial probability p of a binomial
@@ -199,19 +212,20 @@ def _threshold_error(t: int, K: int, x0: float, y1: float, clicks: bool) -> floa
     form they compute it (1/(1+N1) for counts, 1 - q1 for clicks), since
     the forms differ in the last bit.  betainc evaluates the incomplete
     beta directly on each tail, so tiny values keep relative accuracy.
+    t < 1 always decides target-present and a click t > K never does.
     """
-    if t < 1:
-        return 0.5  # always decide target-present
-    if clicks and t > K:
-        return 0.5  # never decide target-present
-    b = K - t + 1.0 if clicks else float(K)
-    upper = 0.0 if x0 == 0.0 else float(betainc(float(t), b, x0))
-    lower = 0.0 if y1 == 0.0 else float(betainc(b, float(t), y1))
-    return 0.5 * (upper + lower)
+    pe = np.full(t.shape, 0.5)
+    live = (t >= 1) & (t <= ks) if clicks else t >= 1
+    a = t[live].astype(float)
+    b = (ks - t + 1.0 if clicks else ks)[live].astype(float)
+    upper = 0.0 if x0 == 0.0 else betainc(a, b, x0)
+    lower = 0.0 if y1 == 0.0 else betainc(b, a, y1)
+    pe[live] = 0.5 * (upper + lower)
+    return pe
 
 
 def opa_error_exact(
-    params, G: float, K: int, policy, count_model=CountModel.FULL_COUNTING
+    params, G: float, K, policy, count_model=CountModel.FULL_COUNTING
 ) -> Tuple[float, Optional[int]]:
     """Exact threshold-test error of the OPA receiver over K mode pairs.
 
@@ -231,13 +245,12 @@ def opa_error_exact(
     size, the two laws are no longer resolved and the error would be noise
     (even above 1/2), so that raises DomainError.
     """
-    if K < 1:
-        raise DomainError(f"K must be >= 1, got {K}")
+    ks = _copies(K)
     policy = ThresholdPolicy(policy)
     clicks = CountModel(count_model) is CountModel.ON_OFF
     n0, n1 = opa_output_means(params, G)
     if n1 == n0:
-        return 0.5, None
+        return _like(K, np.full(ks.shape, 0.5)), None
     # per-mode mean and deviation of the count law, and its tail arguments
     q0 = n0 / (1.0 + n0)
     if clicks:
@@ -254,18 +267,24 @@ def opa_error_exact(
         )
 
     if policy is ThresholdPolicy.PAPER_FORMULA:
-        t = int(math.ceil(K * (s1 * m0 + s0 * m1) / (s0 + s1)))
+        with np.errstate(over="ignore"):
+            crossing = ks.astype(float) * (s1 * m0 + s0 * m1) / (s0 + s1)
+        t = np.array([math.ceil(x) for x in crossing.tolist()], dtype=object)
     else:
-        t = _lr_threshold(n0, n1, K, clicks)
-    return _threshold_error(t, K, q0, y1, clicks), t
+        t = _lr_threshold(n0, n1, ks, clicks)
+    return _like(K, _threshold_error(t, ks, q0, y1, clicks)), _like(K, t)
 
 
-def _r_opa(params, G: float) -> float:
+def _r_opa(params, G):
     """R_OPA = (N1-N0)^2 / (2 (sigma0+sigma1)^2), sigma = sqrt(N (N+1)).
     The square overflows below opa_output_means's guard: DomainError."""
-    n0, n1 = opa_output_means(params, G)
+    n0, n1, _ = _opa_means(params, G)
     try:
-        return (n1 - n0) ** 2 / (2.0 * (math.sqrt(n0 * (n0 + 1.0)) + math.sqrt(n1 * (n1 + 1.0))) ** 2)
+        if type(G) is float:
+            return (n1 - n0) ** 2 / (2.0 * (math.sqrt(n0 * (n0 + 1.0)) + math.sqrt(n1 * (n1 + 1.0))) ** 2)
+        # arrays: float ** 2 per element, as numpy's square can differ from libm's pow
+        sigmas = np.sqrt(n0 * (n0 + 1.0)) + np.sqrt(n1 * (n1 + 1.0))
+        return _each(pow, n1 - n0, 2) / (2.0 * _each(pow, sigmas, 2))
     except OverflowError:
         raise DomainError(f"float overflow in R_OPA at G={G!r}: n0={n0}, n1={n1}") from None
 
@@ -287,15 +306,22 @@ def optimize_gain(params) -> Tuple[Optional[float], float]:
     """Maximize R_OPA over G in (1, 1.5] by golden section on log(G-1).
 
     Returns (g_star, r_opa).  The objective is flat when kappa = 0; that
-    returns (None, 0.0) rather than a fake optimum.
+    returns (None, 0.0) rather than a fake optimum.  Scenarios in arrays,
+    each with kappa > 0, share one golden section, each element taking the
+    steps of its own search.
     """
-    if params.kappa == 0.0:
+    exp = math.exp
+    if isinstance(params.kappa, np.ndarray):
+        if not _all(params.kappa > 0.0):
+            raise DomainError("a gain search over arrays needs kappa > 0 everywhere")
+        exp = lambda t: _each(math.exp, np.full(params.kappa.shape, t))  # t may be a bracket end
+    elif params.kappa == 0.0:
         return None, 0.0
     t_star, neg_best = golden_section_min(
-        lambda t: -_r_opa(params, 1.0 + math.exp(t)),
+        lambda t: -_r_opa(params, 1.0 + exp(t)),
         math.log(_GAIN_MIN_EXCESS), math.log(_GAIN_MAX - 1.0), _GAIN_REL_TOL,
     )
-    return 1.0 + math.exp(t_star), -neg_best
+    return 1.0 + exp(t_star), -neg_best
 
 
 def opa_bhattacharyya(params, G: float) -> Tuple[float, float, float]:
@@ -318,8 +344,8 @@ def opa_bhattacharyya(params, G: float) -> Tuple[float, float, float]:
             (2 n_s (n_s+1) + 2 eps^2 (1+2 n_s)(1+n_s+n_b))
     """
     n0, n1, gap = _opa_means(params, G)
-    root = math.sqrt(n1 * (1.0 + n0)) + math.sqrt(n0 * (1.0 + n1))
-    r_b_exact = 0.5 * math.log1p((gap / root) ** 2)
+    root = _each(math.sqrt, n1 * (1.0 + n0)) + _each(math.sqrt, n0 * (1.0 + n1))
+    r_b_exact = 0.5 * _each(math.log1p, _each(pow, gap / root, 2))
 
     eps2 = G - 1.0
     n_s, kappa, n_b = params.n_s, params.kappa, params.n_b
@@ -330,7 +356,7 @@ def opa_bhattacharyya(params, G: float) -> Tuple[float, float, float]:
             + 2.0 * eps2 * (1.0 + 2.0 * n_s) * (1.0 + n_s + n_b)
         )
     )
-    return math.exp(-r_b_exact), r_b_exact, r_b_small
+    return _each(math.exp, -r_b_exact), r_b_exact, r_b_small
 
 
 # --- optimal joint measurement ----------------------------------------------
@@ -370,9 +396,9 @@ def helstrom_single_shot(rho0: JointState, rho1: JointState) -> HelstromResult:
     intact.  Only the average is guaranteed to stay at or below 1/2; for
     nearly identical states one conditional rate can land slightly above.
     One batched eigensolve covers the zero-padded stack of rho1 - rho0,
-    and every sum is exact (math.fsum).  Padded eigenvalues join the
-    half-weight zero cluster, where the states vanish, so they add nothing
-    whatever basis the solver picks there.
+    and every sum is exact (math.fsum, over a memoryview of floats).  Padded
+    eigenvalues join the half-weight zero cluster, where the states vanish,
+    so they add nothing whatever basis the solver picks there.
     """
     if not (isinstance(rho0, JointState) and isinstance(rho1, JointState)):
         raise DomainError("helstrom_single_shot needs two JointStates")
@@ -391,13 +417,13 @@ def helstrom_single_shot(rho0: JointState, rho1: JointState) -> HelstromResult:
     ztol = max(1e-12 * float(np.abs(w).max()), 1e-14)
     # projector weight per eigenvector: 1 positive, 1/2 zero, 0 negative
     weight = np.where(w > ztol, 1.0, np.where(np.abs(w) <= ztol, 0.5, 0.0))
-    margin = math.fsum((weight * w).ravel())
-    p01 = math.fsum((weight * np.einsum("bji,bjk,bki->bi", v, rho0.stack, v)).ravel())
+    margin = math.fsum(memoryview((weight * w).ravel()))
+    p01 = math.fsum(memoryview((weight * np.einsum("bji,bjk,bki->bi", v, rho0.stack, v)).ravel()))
     # v^T rho1 v = v^T rho0 v + diag(w), so 1 - p10 = p01 + margin
     return HelstromResult(pe_single=0.5 * (1.0 - margin), p01=p01, p10=1.0 - p01 - margin)
 
 
-def majority_vote_error(p01: float, p10: float, K: int, method: str = "exact_binomial"):
+def majority_vote_error(p01: float, p10: float, K, method: str = "exact_binomial"):
     """Error of a majority vote over K independent single-pair decisions.
 
     Votes for target-present are Binomial(K, p01) under H0 and
@@ -405,8 +431,7 @@ def majority_vote_error(p01: float, p10: float, K: int, method: str = "exact_bin
     a strict majority, so ties (even K) go to target-absent.  'exact_binomial'
     uses incomplete-beta tails; 'clt' the midpoint-corrected Gaussian.
     """
-    if K < 1:
-        raise DomainError(f"K must be >= 1, got {K}")
+    ks = _copies(K)
     # Identical truncated states put half the tail deficit on p10, landing it
     # a few 1e-10 above 1/2; tolerate that much and clip, reject real excess.
     slack = 1e-8
@@ -416,23 +441,19 @@ def majority_vote_error(p01: float, p10: float, K: int, method: str = "exact_bin
             raise DomainError(f"{name} must lie in [0, 1/2], got {p}")
         clipped.append(min(p, 0.5))
     p01, p10 = clipped
-    t = K // 2 + 1  # smallest winning vote count for target-present
+    t = ks // 2 + 1  # smallest winning vote count for target-present
 
     if method == "exact_binomial":
-        return _threshold_error(t, K, p01, 1.0 - (1.0 - p10), clicks=True)
+        return _like(K, _threshold_error(t, ks, p01, 1.0 - (1.0 - p10), clicks=True))
     if method == "clt":
-        if p01 == 0.0:
-            err0 = 0.0
-        else:
-            z0 = (t - 0.5 - K * p01) / math.sqrt(K * p01 * (1.0 - p01))
-            err0 = float(ndtr(-z0))
-        if p10 == 0.0:
-            err1 = 0.0
-        else:
+        k, votes = ks.astype(float), t.astype(float)
+        err0 = err1 = np.zeros(k.shape)
+        if p01 != 0.0:
+            err0 = ndtr(-((votes - 0.5 - k * p01) / np.sqrt(k * p01 * (1.0 - p01))))
+        if p10 != 0.0:
             q = 1.0 - p10
-            z1 = (K * q - (t - 0.5)) / math.sqrt(K * q * (1.0 - q))
-            err1 = float(ndtr(-z1))
-        return 0.5 * (err0 + err1)
+            err1 = ndtr(-((k * q - (votes - 0.5)) / np.sqrt(k * q * (1.0 - q))))
+        return _like(K, 0.5 * (err0 + err1))
     raise DomainError(f"method must be 'exact_binomial' or 'clt', got {method!r}")
 
 
@@ -441,18 +462,21 @@ def resolve_gain(params, gain_spec) -> Tuple[Optional[float], str]:
 
     Returns (G, note).  G is None when the optimization is degenerate
     (kappa = 0), in which case every OPA quantity collapses to chance.
+    Scenarios in arrays get arrays, and a note without R_OPA.
     """
     if isinstance(gain_spec, str):
         if gain_spec == GAIN_AUTO:
             g_star, r_opa = optimize_gain(params)
             if g_star is None:
                 return None, "gain optimization degenerate (kappa = 0)"
-            return g_star, f"auto-optimized, R_OPA={r_opa:.6e}"
+            return g_star, ("auto-optimized" if isinstance(r_opa, np.ndarray)
+                            else f"auto-optimized, R_OPA={r_opa:.6e}")
         if gain_spec == GAIN_BHATT:
-            if params.n_b <= 0.0:
+            if not _all(params.n_b > 0.0):
                 raise DomainError("gain preset 'bhatt' needs n_b > 0")
-            return 1.0 + params.n_s / math.sqrt(params.n_b), "preset G = 1 + n_s/sqrt(n_b)"
+            return (1.0 + params.n_s / _each(math.sqrt, params.n_b),
+                    "preset G = 1 + n_s/sqrt(n_b)")
         raise DomainError(f"unknown gain spec {gain_spec!r}")
     if not math.isfinite(gain_spec) or gain_spec <= 1.0:
         raise DomainError(f"explicit gain must satisfy G > 1, got {gain_spec}")
-    return float(gain_spec), "explicit"
+    return float(gain_spec) + 0.0 * params.n_s, "explicit"

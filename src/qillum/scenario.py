@@ -76,11 +76,12 @@ class ScenarioParams:
     @property
     def regime_ok(self) -> bool:
         """True when the closed-form exponent approximations are trustworthy."""
-        return (
-            self.n_s <= REGIME_NS_MAX
-            and self.kappa <= REGIME_KAPPA_MAX
-            and self.n_b >= REGIME_NB_MIN
-        )
+        return _in_regime(self.n_s, self.kappa, self.n_b)
+
+
+def _in_regime(n_s, kappa, n_b):
+    """regime_ok of one scenario, or elementwise of arrays of scenarios."""
+    return (n_s <= REGIME_NS_MAX) & (kappa <= REGIME_KAPPA_MAX) & (n_b >= REGIME_NB_MIN)
 
 
 @dataclass(frozen=True)

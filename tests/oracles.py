@@ -7,6 +7,13 @@ health checks, the Fock-route overlap pair, the mpmath Pirandola-Lloyd
 overlap of the Gaussian pair, the mpmath Bhattacharyya exponent of the OPA
 count laws, and the two photon-count pmfs.  The library never imports
 this module.
+
+It also keeps the scalar code that the library's column functions
+replaced, one call per K, per sweep point or per rho1 position: the
+threshold test, the OPA error and the majority vote per K, the K-copy
+sandwich and the homodyne error per K, the gain search as one loop per
+scenario with its sweep rows, and build_rho1 filled one (column, offset)
+position at a time.  Their results must match the library's bit for bit.
 """
 
 import math
@@ -16,9 +23,25 @@ import mpmath
 import numpy as np
 from scipy.special import gammaln
 
-from qillum import DomainError
-from qillum.bounds import _SpectralPair
-from qillum.fockspace import _block_layout
+from scipy.special import betainc, log_ndtr, ndtr
+
+from qillum import CountModel, DomainError, JointState, ThresholdPolicy, asymptotic_exponents
+from qillum.bounds import _LN10, _LOG10_HALF, _SpectralPair
+from qillum.fockspace import _block_layout, _log_thermal_weights
+from qillum.gss import INVPHI
+from qillum.receivers import (
+    _EPS,
+    _GAIN_MAX,
+    _GAIN_MIN_EXCESS,
+    _GAIN_REL_TOL,
+    _LR_MARGIN,
+    _TINY,
+    _lr_threshold_exact,
+    _r_opa,
+    opa_bhattacharyya,
+    opa_output_means,
+)
+from qillum.scenario import GAIN_AUTO, GAIN_BHATT
 
 # First moments of a joint state: mode occupations and the magnitude of the
 # phase-sensitive cross correlation <a_R a_I>.
@@ -183,23 +206,25 @@ def gaussian_ln_q_s(n_s, kappa, n_b, s, dps=80):
     G_p(x) = 2^p / ((x+1)^p - (x-1)^p), V(p) = S diag(Lambda_p(nu)) S^T and
     Lambda_p(x) = ((x+1)^p + (x-1)^p) / ((x+1)^p - (x-1)^p) over the
     Williamson form V = S diag(nu) S^T.  H0 is diagonal; H1 is a two-mode
-    squeeze S(r) of the symplectic eigenvalues nu+- = (R +- (a' - b)) / 2.
-    The inputs are taken as exact binary floats.
+    squeeze S(r) of the symplectic eigenvalues nu+- = (R +- (a' - b)) / 2,
+    R^2 = (a' + b)^2 - 16 kappa n_s (n_s + 1).  The inputs are taken as exact
+    binary floats.  A pure mode (n_b = 0 under H0, or nu = 1) has x - 1 = 0,
+    held there against rounding below it; s = 1 exactly stays outside the
+    domain there, where 0**0 would enter.
     """
     with mpmath.workdps(dps):
         n_s, kappa, n_b, s = (mpmath.mpf(v) for v in (n_s, kappa, n_b, s))
         a0, a1, b = 2 * n_b + 1, 2 * (kappa * n_s + n_b) + 1, 2 * n_s + 1
-        c = 2 * mpmath.sqrt(kappa * n_s * (n_s + 1))
-        root = mpmath.sqrt((a1 + b) ** 2 - 4 * c ** 2)
+        root = mpmath.sqrt((a1 + b) ** 2 - 16 * kappa * n_s * (n_s + 1))
         nu_plus, nu_minus = (root + a1 - b) / 2, (root - a1 + b) / 2
         cosh_2r = (a1 + b) / root
         ch, sh = mpmath.sqrt((cosh_2r + 1) / 2), mpmath.sqrt((cosh_2r - 1) / 2)
 
         def g(p, x):
-            return 2 ** p / ((x + 1) ** p - (x - 1) ** p)
+            return 2 ** p / ((x + 1) ** p - max(x - 1, 0) ** p)
 
         def lam(p, x):
-            return ((x + 1) ** p + (x - 1) ** p) / ((x + 1) ** p - (x - 1) ** p)
+            return ((x + 1) ** p + max(x - 1, 0) ** p) / ((x + 1) ** p - max(x - 1, 0) ** p)
 
         squeeze = mpmath.matrix([[ch, 0, sh, 0], [0, ch, 0, -sh],
                                  [sh, 0, ch, 0], [0, -sh, 0, ch]])
@@ -263,3 +288,203 @@ def opa_count_pmf(n_mean: float, K: int, n) -> np.ndarray:
     if np.isscalar(n) or np.asarray(n).ndim == 0:
         return float(out[0])
     return out
+
+
+# --- the scalar code behind the column functions ------------------------------
+
+def threshold_error(t, K, x0, y1, clicks):
+    """Equal-prior error of the count test X >= t for one threshold and one K."""
+    if t < 1:
+        return 0.5
+    if clicks and t > K:
+        return 0.5
+    b = K - t + 1.0 if clicks else float(K)
+    upper = 0.0 if x0 == 0.0 else float(betainc(float(t), b, x0))
+    lower = 0.0 if y1 == 0.0 else float(betainc(b, float(t), y1))
+    return 0.5 * (upper + lower)
+
+
+def lr_threshold(n0, n1, K, clicks):
+    """The likelihood-ratio threshold for one K: the float ratio where its
+    certificate holds, else the 50-digit decimal route."""
+    if n0 > 0.0 and n1 > n0:
+        delta = n1 - n0
+        a = delta / (1.0 + n0)
+        b = delta / n0 if clicks else delta / (n0 * (1.0 + n1))
+        if a >= _TINY and b >= _TINY:
+            ratio = K * math.log1p(a) / math.log1p(b)
+            if math.isfinite(ratio):
+                t = math.ceil(ratio)
+                if min(t - ratio, ratio - t + 1.0) > _LR_MARGIN * max(1.0, ratio):
+                    return t
+    return _lr_threshold_exact(n0, n1, K, clicks)
+
+
+def opa_error_exact(params, G, K, policy, count_model=CountModel.FULL_COUNTING):
+    """(P_e, t) of the OPA count test for one K."""
+    if K < 1:
+        raise DomainError(f"K must be >= 1, got {K}")
+    policy = ThresholdPolicy(policy)
+    clicks = CountModel(count_model) is CountModel.ON_OFF
+    n0, n1 = opa_output_means(params, G)
+    if n1 == n0:
+        return 0.5, None
+    q0 = n0 / (1.0 + n0)
+    if clicks:
+        q1 = n1 / (1.0 + n1)
+        m0, m1, y1 = q0, q1, 1.0 - q1
+        s0, s1 = math.sqrt(q0 * (1.0 - q0)), math.sqrt(q1 * (1.0 - q1))
+    else:
+        m0, m1, y1 = n0, n1, 1.0 / (1.0 + n1)
+        s0, s1 = math.sqrt(n0 * (n0 + 1.0)), math.sqrt(n1 * (n1 + 1.0))
+    if (1.0 - q0) - y1 <= 2.0 * _EPS:
+        raise DomainError(f"gain G={G!r} too large: the count tails no longer resolve")
+    if policy is ThresholdPolicy.PAPER_FORMULA:
+        t = int(math.ceil(K * (s1 * m0 + s0 * m1) / (s0 + s1)))
+    else:
+        t = lr_threshold(n0, n1, K, clicks)
+    return threshold_error(t, K, q0, y1, clicks), t
+
+
+def majority_vote_error(p01, p10, K, method="exact_binomial"):
+    """Majority-vote error over K single-pair decisions, for one K."""
+    if K < 1:
+        raise DomainError(f"K must be >= 1, got {K}")
+    for name, p in (("p01", p01), ("p10", p10)):
+        if not 0.0 <= p <= 0.5 + 1e-8:
+            raise DomainError(f"{name} must lie in [0, 1/2], got {p}")
+    p01, p10 = min(p01, 0.5), min(p10, 0.5)
+    t = K // 2 + 1
+    if method == "exact_binomial":
+        return threshold_error(t, K, p01, 1.0 - (1.0 - p10), clicks=True)
+    err0 = err1 = 0.0
+    if p01 != 0.0:
+        err0 = float(ndtr(-((t - 0.5 - K * p01) / math.sqrt(K * p01 * (1.0 - p01)))))
+    if p10 != 0.0:
+        q = 1.0 - p10
+        err1 = float(ndtr(-((K * q - (t - 0.5)) / math.sqrt(K * q * (1.0 - q)))))
+    return 0.5 * (err0 + err1)
+
+
+def half_erfc_sqrt(y):
+    """(p, log10 p) of erfc(sqrt(y)) / 2 for one y."""
+    x = math.sqrt(y)
+    return float(ndtr(-x * math.sqrt(2.0))), float(log_ndtr(-x * math.sqrt(2.0))) / _LN10
+
+
+def homodyne_error(params, K):
+    """Homodyne error of the coherent transmitter for one K."""
+    return half_erfc_sqrt(params.kappa * params.n_s * K / (4.0 * params.n_b + 2.0))
+
+
+def error_prob_bounds(ln_q_half, ln_q_min, K):
+    """(log10 lower, log10 upper_qcb, log10 upper_bhatt) for one K."""
+    t = 2.0 * K * ln_q_half
+    return (t / _LN10 - math.log10(2.0 * (1.0 + math.sqrt(-math.expm1(t)))),
+            K * ln_q_min / _LN10 + _LOG10_HALF,
+            K * ln_q_half / _LN10 + _LOG10_HALF)
+
+
+def golden_section_min(f, a, b, xtol, max_iter=200):
+    """The golden section as one plain loop over scalars."""
+    best_x, best_f = a, f(a)
+    fb = f(b)
+    if fb < best_f:
+        best_x, best_f = b, fb
+    h = b - a
+    c = b - INVPHI * h
+    d = a + INVPHI * h
+    fc, fd = f(c), f(d)
+    for x, fx in ((c, fc), (d, fd)):
+        if fx < best_f:
+            best_x, best_f = x, fx
+    for _ in range(max_iter):
+        if h <= xtol:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = b - INVPHI * h
+            fc = f(c)
+            if fc < best_f:
+                best_x, best_f = c, fc
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + INVPHI * h
+            fd = f(d)
+            if fd < best_f:
+                best_x, best_f = d, fd
+    return best_x, best_f
+
+
+def optimize_gain(params):
+    """(G*, R_OPA) of one scenario by its own golden section."""
+    if params.kappa == 0.0:
+        return None, 0.0
+    t_star, neg_best = golden_section_min(
+        lambda t: -_r_opa(params, 1.0 + math.exp(t)),
+        math.log(_GAIN_MIN_EXCESS), math.log(_GAIN_MAX - 1.0), _GAIN_REL_TOL)
+    return 1.0 + math.exp(t_star), -neg_best
+
+
+def sweep_rows(axis, gain_spec, points):
+    """A sweep's rows, one point at a time; None marks an undefined cell."""
+    rows = []
+    for value, point in points:
+        report = asymptotic_exponents(point)
+        if axis == "gain":
+            gain = value
+        elif gain_spec == GAIN_AUTO:
+            gain = optimize_gain(point)[0]
+        elif gain_spec == GAIN_BHATT:
+            gain = 1.0 + point.n_s / math.sqrt(point.n_b)
+        else:
+            gain = float(gain_spec)
+        if gain is None:
+            exps = [0.0, 0.0, 0.0, None]
+        else:
+            _, r_b_exact, r_b_small = opa_bhattacharyya(point, gain)
+            half_limit = point.kappa * point.n_s / (2.0 * point.n_b)
+            exps = [_r_opa(point, gain), r_b_exact, r_b_small,
+                    r_b_exact / half_limit if half_limit > 0.0 else None]
+        rows.append([value, report.r_q, report.r_c, report.r_c_hom, int(point.regime_ok),
+                     gain, *exps])
+    return rows
+
+
+def build_rho1(params, trunc):
+    """build_rho1 filled one (column c, offset l) position at a time, each
+    across all blocks, with its series over t as one log-sum-exp."""
+    n_s, kappa, n_b = params.n_s, params.kappa, params.n_b
+    log_g = math.log1p(n_b)
+    log_eta_g = math.log(kappa) - 2.0 * log_g if kappa > 0.0 else 0.0
+    eta = kappa / (1.0 + n_b)
+    log_loss = math.log1p(-eta) if eta < 1.0 else math.log(n_b) - math.log1p(n_b)
+    log_gain = -math.log1p(1.0 / n_b)
+    d, lo, size = _block_layout(trunc)
+    q0 = lo + d
+    m = trunc.n_i_max + 1
+    lf = np.array([math.lgamma(n + 1.0) for n in range(m)])
+    lr = np.pad(np.cumsum(np.log(q0[:, None] + np.arange(1.0, m)), axis=1), ((0, 0), (1, 0)))
+    half = 0.5 * (_log_thermal_weights(np.arange(m), n_s) + lf)
+    stack = np.zeros((d.size, m, m))
+    for c in range(m):
+        for l in range(m - c if kappa > 0.0 else 1):
+            rows = size > c + l
+            j = lo[rows] + c
+            i = j + l
+            lr_rows = lr[rows]
+            fixed = half[i] + half[j] + 0.5 * (lr_rows[:, c + l] + lr_rows[:, c]) - log_g
+            t = np.arange(0 if kappa > 0.0 else c, c + 1)
+            k = lo[rows] + t[:, None]
+            terms = (
+                -lf[k] - lf[i - k] - lf[j - k] - lr_rows[:, t].T
+                + (c + 0.5 * l - t[:, None]) * log_eta_g
+                + k * log_loss + (q0[rows] + t[:, None]) * log_gain
+            )
+            top = terms.max(axis=0)
+            elem = np.exp(fixed + (top + np.log(np.exp(terms - top).sum(axis=0))))
+            stack[rows, c + l, c] = elem
+            stack[rows, c, c + l] = elem
+    return JointState(stack, trunc)

@@ -320,6 +320,20 @@ class TestGaussianChernoff:
             want = gaussian_ln_q_s(n_s, kappa, n_b, s)
             assert abs(ln_q(s) - want) <= 1e-12 * abs(want), s
 
+    @pytest.mark.parametrize("s", [0.05, 0.5, 0.9999])
+    @pytest.mark.parametrize("n_s, pin", [(1.0, -1.3862250464018346), (1e8, -36.83951943982934)])
+    def test_pure_lossless_return(self, n_s, pin, s):
+        """n_b = 0, kappa = 1: the return is a pure mode, where the oracle
+        holds x - 1 at 0 (s = 1 exactly stays outside its domain).  It is
+        real there and meets the closed form; at s = 0.9999 both give the
+        pinned values."""
+        want = gaussian_ln_q_s(n_s, 1.0, 0.0, s)
+        assert isinstance(want, mpmath.mpf)
+        got = _gaussian_ln_q(ScenarioParams(n_s, 1.0, 0.0))(s)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        if s == 0.9999:
+            assert got == pin and abs(want - pin) <= 1e-12 * abs(pin)
+
     def test_endpoints_are_exactly_one(self):
         for n_b, n_s, kappa in itertools.product((0.0, 0.01, 20.0, 1e6), self.GRID_NS,
                                                  self.GRID_KAPPA):
