@@ -46,8 +46,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
+from ._lazy import is_array, np
 from .errors import DomainError
 from .fockspace import JointState
 from .gss import golden_section_min
@@ -133,7 +132,8 @@ def _gaussian_ln_q(params):
     if not math.isfinite(a_plus_b * a_plus_b):  # no product below is larger
         raise DomainError(f"float overflow in the Gaussian overlap at n_s={n_s!r}, "
                           f"kappa={kappa!r}, n_b={n_b!r}")
-    d_ret, r2_minus_d_ret2 = 2.0 * (n_s + 1.0 - kns - n_b), 16.0 * n_b * (n_s + 1.0)
+    # (1 - kappa) n_s is exact zero at kappa = 1, so each d keeps the +1 of n_s + 1
+    d_ret, r2_minus_d_ret2 = 2.0 * ((1.0 - kappa) * n_s + 1.0 - n_b), 16.0 * n_b * (n_s + 1.0)
     root = math.sqrt(d_ret * d_ret + r2_minus_d_ret2)  # two terms >= 0: nothing cancels
     half_w = 4.0 * kns * (n_s + 1.0) / (root + a_plus_b)
 
@@ -141,7 +141,7 @@ def _gaussian_ln_q(params):
         return x * (r2_minus_d2 / (root + d) if d > 0.0 else root - d) / (root + a_plus_b)
 
     gap = shrunk(kns, d_ret, r2_minus_d_ret2)  # N+ - n_b
-    n_minus = shrunk(n_s, 2.0 * (kns + 2.0 * kappa - n_b - n_s - 1.0),
+    n_minus = shrunk(n_s, 2.0 * (2.0 * kappa - 1.0 - n_b - (1.0 - kappa) * n_s),
                      16.0 * kappa * (n_s + 1.0) * (n_b + (1.0 - kappa)))
     e_ret, e_idl = _geometric_gap(n_b, n_b + gap, gap), _geometric_gap(n_s, n_minus, -half_w)
     h_0, h_1 = _cross_gap(n_b, n_s), _cross_gap(n_b + gap, n_minus)
@@ -268,7 +268,7 @@ def _each(fn, x, *args):
     """fn(x, *args), fn a math function or pow, on a float, or element by
     element on a float array: numpy's own exp, log and power can differ from
     libm's in the last bit."""
-    if not isinstance(x, np.ndarray):
+    if not is_array(x):
         return fn(x, *args)
     return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, args)), float, x.size)
 

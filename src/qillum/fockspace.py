@@ -28,8 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-import numpy as np
-
+from ._lazy import LazyImport, np
 from .errors import DomainError, TruncationError
 
 __all__ = [
@@ -294,23 +293,11 @@ def thermal_state(mean: float, cutoff: int) -> np.ndarray:
     return np.diag(np.exp(_log_thermal_weights(np.arange(cutoff + 1), mean)))
 
 
-class _ScipyExpm:
-    """scipy.linalg.expm, imported on the first call.
-
-    Only build_displaced_thermal needs it and no CLI command reaches that,
-    while importing scipy.linalg costs every process about 0.06 s and 6 MB.
-    An instance rather than a function: like numpy's eigh it is a kernel,
-    not one of this module's own functions, and it stays replaceable as
-    ``fockspace.expm``.
-    """
-
-    def __call__(self, a: np.ndarray) -> np.ndarray:
-        from scipy.linalg import expm as scipy_expm
-
-        return scipy_expm(a)
-
-
-expm = _ScipyExpm()
+# scipy.linalg.expm, imported on the first call.  Only build_displaced_thermal
+# needs it and no CLI command reaches that.  A LazyImport handle rather than
+# a function: like numpy's eigh it is a kernel, not one of this module's own
+# functions, and it stays replaceable as ``fockspace.expm``.
+expm = LazyImport("scipy.linalg", "expm")
 
 # Extra levels under the displacement exponential, cropped off afterwards;
 # the padding absorbs edge reflection.

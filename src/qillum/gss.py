@@ -2,7 +2,7 @@
 
 import math
 
-import numpy as np
+from ._lazy import is_array, np
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_ITER = 200  # bracket shrinks by INVPHI per step; far more than any xtol needs
@@ -62,7 +62,7 @@ def golden_section_min(f, a, b, xtol):
     if not b > a:
         raise ValueError(f"bad bracket [{a}, {b}]")
     fa = f(a)
-    if not isinstance(fa, np.ndarray):
+    if not is_array(fa):
         send = _section(a, b, xtol).send
         send(None)
         fx = fa

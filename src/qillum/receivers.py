@@ -34,11 +34,9 @@ from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context, Decimal
 from typing import Optional, Tuple
 
-import numpy as np
-from scipy.special import betainc, log_ndtr, ndtr
-
+from ._lazy import LazyImport, is_array, np
 from .bounds import _all, _copies, _each, _like
-from .errors import DomainError
+from .errors import DomainError, QIError
 from .fockspace import JointState
 from .gss import golden_section_min
 from .scenario import GAIN_AUTO, GAIN_BHATT, CountModel, ThresholdPolicy
@@ -65,6 +63,11 @@ _GAIN_MAX = 1.5
 _GAIN_REL_TOL = 1e-4
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min  # smallest normal float
+
+# scipy.special's tails, loaded at the first K-table tail
+betainc = LazyImport("scipy.special", "betainc")
+ndtr = LazyImport("scipy.special", "ndtr")
+log_ndtr = LazyImport("scipy.special", "log_ndtr")
 
 
 def half_erfc_sqrt(y) -> Tuple[float, float]:
@@ -311,7 +314,7 @@ def optimize_gain(params) -> Tuple[Optional[float], float]:
     steps of its own search.
     """
     exp = math.exp
-    if isinstance(params.kappa, np.ndarray):
+    if is_array(params.kappa):
         if not _all(params.kappa > 0.0):
             raise DomainError("a gain search over arrays needs kappa > 0 everywhere")
         exp = lambda t: _each(math.exp, np.full(params.kappa.shape, t))  # t may be a bracket end
@@ -398,7 +401,8 @@ def helstrom_single_shot(rho0: JointState, rho1: JointState) -> HelstromResult:
     One batched eigensolve covers the zero-padded stack of rho1 - rho0,
     and every sum is exact (math.fsum, over a memoryview of floats).  Padded
     eigenvalues join the half-weight zero cluster, where the states vanish,
-    so they add nothing whatever basis the solver picks there.
+    so they add nothing whatever basis the solver picks there.  An
+    eigensolve that does not converge raises QIError with numpy's message.
     """
     if not (isinstance(rho0, JointState) and isinstance(rho1, JointState)):
         raise DomainError("helstrom_single_shot needs two JointStates")
@@ -408,7 +412,10 @@ def helstrom_single_shot(rho0: JointState, rho1: JointState) -> HelstromResult:
     if tr0 < 1.0 - 1e-6 or tr1 < 1.0 - 1e-6:
         raise DomainError(f"state traces too small ({tr0:.8f}, {tr1:.8f})")
 
-    w, v = np.linalg.eigh(rho1.stack - rho0.stack)
+    try:
+        w, v = np.linalg.eigh(rho1.stack - rho0.stack)
+    except np.linalg.LinAlgError as exc:
+        raise QIError(str(exc)) from exc
 
     # Absolute floor: for identical states every eigenvalue is cancellation
     # noise (~1e-15) and a purely relative cut would classify that noise as
@@ -469,7 +476,7 @@ def resolve_gain(params, gain_spec) -> Tuple[Optional[float], str]:
             g_star, r_opa = optimize_gain(params)
             if g_star is None:
                 return None, "gain optimization degenerate (kappa = 0)"
-            return g_star, ("auto-optimized" if isinstance(r_opa, np.ndarray)
+            return g_star, ("auto-optimized" if is_array(r_opa)
                             else f"auto-optimized, R_OPA={r_opa:.6e}")
         if gain_spec == GAIN_BHATT:
             if not _all(params.n_b > 0.0):

@@ -77,9 +77,9 @@ def test_check_reference_names_resolve():
     assert 0.0 < q_min < 1.0 and exponent > 0.0 and 0.0 <= s_star <= 1.0
 
 
-def modules_loaded_by_cli_import(prefixes):
-    """Modules starting with one of prefixes that a fresh `import qillum.cli` loads."""
-    code = ("import sys, qillum.cli; "
+def modules_loaded_by_cli_import(prefixes, module="qillum.cli"):
+    """Modules starting with one of prefixes that a fresh `import module` loads."""
+    code = (f"import sys, {module}; "
             f"print(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))")
     src = str(ROOT / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -93,6 +93,49 @@ def test_cli_import_loads_no_test_oracle():
 
 def test_cli_import_loads_no_scipy_linalg():
     assert modules_loaded_by_cli_import(["scipy.linalg"]) == "[]"
+
+
+def modules_loaded_by_cli_run(argv, prefixes, cwd):
+    """(exit code, modules starting with one of prefixes) of a fresh
+    `python -m qillum argv`, the modules as it holds them when it exits."""
+    code = ("import atexit, runpy, sys\n"
+            "atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith("
+            f"{tuple(prefixes)!r})), file=sys.stderr))\n"
+            "runpy.run_module('qillum', run_name='__main__', alter_sys=True)\n")
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         cwd=cwd, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    return out.returncode, out.stderr.strip().splitlines()[-1]
+
+
+ARRAY_LIBRARIES = ["numpy", "scipy"]
+
+
+def test_package_import_loads_no_numpy_or_scipy():
+    assert modules_loaded_by_cli_import(ARRAY_LIBRARIES, module="qillum") == "[]"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--help"], 0),
+    (["exponents", "--config", "refused.cfg"], 2),
+    (["exponents"], 0),
+    (["exponents", "--gain", "bhatt", "--out", "."], 0),
+], ids=["help", "refused_config", "exponents", "exponents_bhatt_csv"])
+def test_numpy_free_commands_load_no_numpy_or_scipy(tmp_path, argv, code):
+    """Nothing on these paths calls numpy or scipy, so a fresh process loads neither."""
+    (tmp_path / "refused.cfg").write_text("n_s=0\nkappa=0.01\nn_b=20\n", encoding="ascii")
+    assert modules_loaded_by_cli_run(argv, ARRAY_LIBRARIES, tmp_path) == (code, "[]")
+
+
+def test_sweep_loads_no_scipy(tmp_path):
+    argv = ["sweep", "--axis", "kappa", "--grid", "0.01,0.02,0.03,0.04", "--out", "."]
+    assert modules_loaded_by_cli_run(argv, ["scipy"], tmp_path) == (0, "[]")
+
+
+def test_bounds_loads_scipy_special_at_its_first_tail(tmp_path):
+    """A bounds run loads scipy.special for its tails, and still no scipy.linalg."""
+    code, loaded = modules_loaded_by_cli_run(["bounds", "--k-points", "3", "--out", "."],
+                                             ["scipy.special", "scipy.linalg"], tmp_path)
+    assert code == 0 and loaded.startswith("['scipy.special") and "scipy.linalg" not in loaded
 
 
 def load_bench_tracing():
@@ -171,3 +214,38 @@ def test_tracer_sees_every_command_of_the_reused_parser(tmp_path, capsys):
     assert "cli.build_parser" not in names
     assert ((tmp_path / "traced" / "bounds.csv").read_bytes()
             == (tmp_path / "plain" / "bounds.csv").read_bytes())
+
+
+def test_tracer_kernel_spans_of_bounds_and_helstrom(tmp_path, capsys):
+    """The tracer's per-layer metrics read the lazily imported kernels right:
+    every receivers.betainc span is one kernel span (an element count, never
+    a library span, which has none, around a second one), the Helstrom eigh
+    is recorded under receivers, and the expm patch reaches scipy."""
+    import numpy as np
+
+    from qillum import cli, fockspace
+
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("n_s=0.01\nkappa=0.3\nn_b=1.0\n", encoding="ascii")
+    cutoff = fockspace.thermal_cutoff(1.003, 1e-9)
+    tracer = load_bench_tracing().Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main([command, "--config", str(cfg), "--k-points", "4",
+                           "--out", str(tmp_path / command)])
+                 for command in ("bounds", "helstrom")]
+        disp = fockspace.build_displaced_thermal(0.003 ** 0.5, 1.0, cutoff, tail_tol=1e-9)
+    finally:
+        tracer.remove()
+    capsys.readouterr()
+    assert codes == [0, 0]
+    betainc = [span for span in tracer.spans if span[0] == "receivers.betainc"]
+    assert betainc and all(type(span[5]) is int for span in betainc)
+    assert not any(tracer.spans[span[3]][0] == "receivers.betainc"
+                   for span in betainc if span[3] is not None)
+    eigh = [span[0] for span in tracer.spans if span[0].endswith(".eigh")]
+    assert eigh and set(eigh) == {"receivers.eigh"}
+    assert ([span[5] for span in tracer.spans if span[0] == "fockspace.expm"]
+            == [cutoff + 1 + fockspace._DISPLACEMENT_PAD])
+    assert np.array_equal(disp, fockspace.build_displaced_thermal(0.003 ** 0.5, 1.0, cutoff,
+                                                                  tail_tol=1e-9))

@@ -320,6 +320,20 @@ class TestGaussianChernoff:
             want = gaussian_ln_q_s(n_s, kappa, n_b, s)
             assert abs(ln_q(s) - want) <= 1e-12 * abs(want), s
 
+    @pytest.mark.parametrize("n_s, n_b", [(1e16, 1e-10), (1e20, 1e-10), (1e20, 0.0)])
+    def test_lossless_signal_beyond_two_to_the_53(self, n_s, n_b):
+        """At kappa = 1 and n_s >= 2**53, n_s + 1 rounds to n_s.  Both d are
+        taken through (1 - kappa) n_s, exactly 0 here, so they keep the +1;
+        at n_b = 0 the return d is 2, where it used to round to 0 and the
+        search divided by zero.  Checked at 800 digits, where the oracle
+        holds n_s + 1 exactly."""
+        ln_q = _gaussian_ln_q(ScenarioParams(n_s, 1.0, n_b))
+        for s in self.GRID_S:
+            want = gaussian_ln_q_s(n_s, 1.0, n_b, s, dps=800)
+            assert abs(ln_q(s) - want) <= 1e-12 * abs(want), s
+        _, ln_q_min, ln_q_half = gaussian_chernoff(ScenarioParams(n_s, 1.0, n_b))
+        assert -math.inf < ln_q_min <= ln_q_half < 0.0
+
     @pytest.mark.parametrize("s", [0.05, 0.5, 0.9999])
     @pytest.mark.parametrize("n_s, pin", [(1.0, -1.3862250464018346), (1e8, -36.83951943982934)])
     def test_pure_lossless_return(self, n_s, pin, s):

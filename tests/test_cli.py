@@ -427,6 +427,17 @@ class TestExitCodes:
         assert main(["exponents", "--config", str(cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_eigensolver_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        """A LinAlgError from the Helstrom eigensolve is one `qillum:` line and
+        exit 1; main names no numpy exception, helstrom_single_shot turns it
+        into a QIError."""
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        assert main(["helstrom", "--out", str(tmp_path), "--k-points", "2"]) == 1
+        assert capsys.readouterr().err == "qillum: Eigenvalues did not converge\n"
+
     def test_empty_sweep_grid(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path),
                      "--axis", "n_b", "--grid", ","]) == 2
